@@ -201,14 +201,10 @@ impl Engine {
                 break;
             };
             // `Some(first)` when the set is inline, `None` on overflow.
-            let sample = self.store.with_fetched(prid, |_store, parent| {
-                match parent.object().values[spec.parent_set]
-                    .as_set()
-                    .expect("parent set attribute")
-                {
-                    SetValue::Inline(rids) => Some((parent.rid(), rids.first().copied())),
-                    SetValue::Overflow { .. } => None,
-                }
+            let sample = self.store.with_fetched(prid, |store, parent| {
+                let mut set = parent.set(spec.parent_set).expect("parent set attribute");
+                set.is_inline()
+                    .then(|| (parent.rid(), set.next(store.stack_mut())))
             });
             let Some((parent_rid, first)) = sample else {
                 // Overflow sets (1:1000): members never sit with the

@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tq_index::BTreeIndex;
-use tq_objstore::{ObjBatch, ObjGuard, Object, ObjectStore, Rid};
+use tq_objstore::{ObjBatch, ObjGuard, ObjectStore, Record, Rid};
 use tq_pagestore::{CpuEvent, IoStats};
 
 /// Default executor batch size when `TQ_BATCH` is unset: large enough
@@ -684,9 +684,8 @@ fn flatten(nodes: &[Node], parent: Option<usize>, depth: u32, out: &mut Vec<OpRe
 /// Integer attribute accessor — keys and projections are Int by
 /// construction in the paper's Derby schemas. The one shared copy
 /// (selections and joins used to carry private duplicates).
-pub fn int_attr(obj: &Object, attr: usize) -> i64 {
-    obj.values[attr]
-        .as_int()
+pub fn int_attr(obj: &Record, attr: usize) -> i64 {
+    obj.int(attr)
         .expect("key/projection attributes must be Int") as i64
 }
 
@@ -835,7 +834,7 @@ mod tests {
         ctx.op(OpKind::SeqScan, "Items", |ctx| {
             for &rid in &rids {
                 ctx.with_object(rid, |ctx, g| {
-                    let _ = int_attr(g.object(), 0);
+                    let _ = int_attr(g, 0);
                     ctx.store.charge(CpuEvent::AttrGet, 1);
                 });
             }
@@ -911,7 +910,7 @@ mod tests {
             ctx.op(OpKind::SeqScan, "Items", |ctx| {
                 for &rid in &rids {
                     ctx.with_object(rid, |ctx, g| {
-                        let _ = int_attr(g.object(), 0);
+                        let _ = int_attr(g, 0);
                         ctx.store.charge(CpuEvent::AttrGet, 1);
                     });
                 }
@@ -965,7 +964,7 @@ mod tests {
             ctx.op(OpKind::SeqScan, "Items", |ctx| {
                 for &rid in &rids {
                     ctx.with_object(rid, |ctx, g| {
-                        let _ = int_attr(g.object(), 0);
+                        let _ = int_attr(g, 0);
                         ctx.store.charge(CpuEvent::Compare, 1);
                         ctx.op(OpKind::Emit, "result", |ctx| {
                             ctx.store.charge(CpuEvent::ResultAppendTransient, 1);
@@ -984,7 +983,7 @@ mod tests {
                 for chunk in rids.chunks(16) {
                     ctx.with_batch(chunk, |ctx, objs| {
                         for i in 0..objs.len() {
-                            let _ = int_attr(objs.object(i), 0);
+                            let _ = int_attr(objs.record(i), 0);
                             ctx.store.charge(CpuEvent::Compare, 1);
                             pending += 1;
                         }

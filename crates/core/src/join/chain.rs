@@ -25,7 +25,7 @@ use crate::plan::{ChainSpec, ChainStep, LogicalPlan, RootAccess, StepAlgo};
 use crate::swap::SwapSim;
 use tq_fasthash::FxHashMap;
 use tq_index::BTreeIndex;
-use tq_objstore::{ClassId, Object, ObjectStore, Rid};
+use tq_objstore::{ClassId, ObjectStore, Record, Rid};
 use tq_pagestore::CpuEvent;
 
 /// Bytes per chain hash-table entry: rid key plus the carried row
@@ -154,7 +154,7 @@ pub fn run_chain(
 fn preds_pass(
     ex: &mut ExecContext<'_>,
     class: ClassId,
-    obj: &Object,
+    obj: &Record,
     step: &ChainStep,
     skip: usize,
 ) -> bool {
@@ -174,7 +174,7 @@ fn fill_proj(
     spec: &ChainSpec,
     class: ClassId,
     step: usize,
-    obj: &Object,
+    obj: &Record,
     proj: &mut [i64],
 ) {
     for (slot, &(s, attr)) in spec.projection.iter().enumerate() {
@@ -266,7 +266,7 @@ fn bind_root(
                 if obj.is_deleted() {
                     return;
                 }
-                if !preds_pass(ex, class, obj.object(), s, enforced) {
+                if !preds_pass(ex, class, obj, s, enforced) {
                     return;
                 }
                 let mut row = Row {
@@ -275,7 +275,7 @@ fn bind_root(
                     rids: vec![obj.rid(); spec.len()],
                     proj: vec![0; proj_len],
                 };
-                fill_proj(ex, spec, class, step, obj.object(), &mut row.proj);
+                fill_proj(ex, spec, class, step, obj, &mut row.proj);
                 rows.push(row);
             });
         }
@@ -307,22 +307,19 @@ fn nav_set(
                     return;
                 }
                 ex.store.charge_attr_access(from_class, set_attr);
-                let set = parent.object().values[set_attr]
-                    .as_set()
-                    .expect("edge set attribute");
-                let mut members = ex.store.set_cursor(set);
+                let mut members = parent.set(set_attr).expect("edge set attribute");
                 while let Some(crid) = members.next(ex.store.stack_mut()) {
                     ex.with_object(crid, |ex, child| {
                         report.scanned[step] += 1;
                         if child.is_deleted() {
                             return;
                         }
-                        if !preds_pass(ex, class, child.object(), s, 0) {
+                        if !preds_pass(ex, class, child, s, 0) {
                             return;
                         }
                         let mut nr = row.clone();
                         nr.rids[step] = child.rid();
-                        fill_proj(ex, spec, class, step, child.object(), &mut nr.proj);
+                        fill_proj(ex, spec, class, step, child, &mut nr.proj);
                         out.push(nr);
                     });
                 }
@@ -356,7 +353,7 @@ fn nav_back_ref(
                     return None;
                 }
                 ex.store.charge_attr_access(from_class, ref_attr);
-                child.object().values[ref_attr].as_ref_rid()
+                child.ref_rid(ref_attr)
             });
             let Some(prid) = prid else { continue };
             ex.with_object(prid, |ex, parent| {
@@ -364,11 +361,11 @@ fn nav_back_ref(
                 if parent.is_deleted() {
                     return;
                 }
-                if !preds_pass(ex, class, parent.object(), s, 0) {
+                if !preds_pass(ex, class, parent, s, 0) {
                     return;
                 }
                 row.rids[step] = parent.rid();
-                fill_proj(ex, spec, class, step, parent.object(), &mut row.proj);
+                fill_proj(ex, spec, class, step, parent, &mut row.proj);
                 out.push(row);
             });
         }
@@ -421,11 +418,11 @@ fn hash_children(
                 if child.is_deleted() {
                     return;
                 }
-                if !preds_pass(ex, class, child.object(), s, enforced) {
+                if !preds_pass(ex, class, child, s, enforced) {
                     return;
                 }
                 ex.store.charge_attr_access(class, ref_attr);
-                let Some(prid) = child.object().values[ref_attr].as_ref_rid() else {
+                let Some(prid) = child.ref_rid(ref_attr) else {
                     return;
                 };
                 ex.store.charge(CpuEvent::HashProbe, 1);
@@ -436,7 +433,7 @@ fn hash_children(
                     for &i in hits {
                         let mut nr = rows[i].clone();
                         nr.rids[step] = child.rid();
-                        fill_proj(ex, spec, class, step, child.object(), &mut nr.proj);
+                        fill_proj(ex, spec, class, step, child, &mut nr.proj);
                         out.push(nr);
                     }
                 }
@@ -478,14 +475,14 @@ fn hash_parents(
                 if parent.is_deleted() {
                     return;
                 }
-                if !preds_pass(ex, class, parent.object(), s, enforced) {
+                if !preds_pass(ex, class, parent, s, enforced) {
                     return;
                 }
                 let mut vals = Vec::new();
                 for (slot, &(ps, attr)) in spec.projection.iter().enumerate() {
                     if ps == step {
                         ex.store.charge_attr_access(class, attr);
-                        vals.push((slot, int_attr(parent.object(), attr)));
+                        vals.push((slot, int_attr(parent, attr)));
                     }
                 }
                 table.insert(parent.rid(), vals);
@@ -509,7 +506,7 @@ fn hash_parents(
                     return None;
                 }
                 ex.store.charge_attr_access(from_class, ref_attr);
-                child.object().values[ref_attr].as_ref_rid()
+                child.ref_rid(ref_attr)
             });
             let Some(prid) = prid else { continue };
             ex.store.charge(CpuEvent::HashProbe, 1);

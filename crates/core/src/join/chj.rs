@@ -145,8 +145,8 @@ pub(super) fn build_children(
                     }
                     ex.store.charge_attr_access(child_class, spec.child_parent);
                     ex.store.charge_attr_access(child_class, spec.child_project);
-                    let prid = child.object().values[spec.child_parent]
-                        .as_ref_rid()
+                    let prid = child
+                        .ref_rid(spec.child_parent)
                         .expect("child parent reference");
                     table.entry(prid).or_default().push(child_key);
                     *inserted_children += 1;
@@ -170,15 +170,15 @@ pub(super) fn build_children(
                 rids.extend(chunk.iter().map(|&(_, r)| r));
                 ex.with_batch(&rids, |ex, objs| {
                     for (i, &(child_key, _)) in chunk.iter().enumerate() {
-                        let child = objs.object(i);
+                        let child = objs.record(i);
                         report.children_scanned += 1;
-                        if child.header.is_deleted() {
+                        if child.is_deleted() {
                             continue;
                         }
                         ex.store.charge_attr_access(child_class, spec.child_parent);
                         ex.store.charge_attr_access(child_class, spec.child_project);
-                        let prid = child.values[spec.child_parent]
-                            .as_ref_rid()
+                        let prid = child
+                            .ref_rid(spec.child_parent)
                             .expect("child parent reference");
                         table.entry(prid).or_default().push(child_key);
                         *inserted_children += 1;
@@ -224,7 +224,7 @@ pub(super) fn probe_parents(
                     }
                     ex.store
                         .charge_attr_access(parent_class, spec.parent_project);
-                    let parent_key = int_attr(parent.object(), spec.parent_key);
+                    let parent_key = int_attr(parent, spec.parent_key);
                     ex.store.charge(CpuEvent::HashProbe, 1);
                     if swap.touch(rid_hash(parent.rid())) {
                         ex.store.charge(CpuEvent::SwapFault, 1);
@@ -248,7 +248,7 @@ pub(super) fn probe_parents(
                     for i in 0..objs.len() {
                         let (prid, parent) = objs.get(i);
                         report.parents_scanned += 1;
-                        if parent.header.is_deleted() {
+                        if parent.is_deleted() {
                             continue;
                         }
                         ex.store

@@ -176,8 +176,8 @@ pub(super) fn run(
                             report.children_scanned += 1;
                             ex.store.charge_attr_access(child_class, spec.child_parent);
                             ex.store.charge_attr_access(child_class, spec.child_project);
-                            let prid = fetched.object().values[spec.child_parent]
-                                .as_ref_rid()
+                            let prid = fetched
+                                .ref_rid(spec.child_parent)
                                 .expect("child parent reference");
                             let p = partition_of(prid, partitions);
                             ex.store.charge(CpuEvent::HashInsert, 1);
@@ -198,7 +198,7 @@ pub(super) fn run(
                 ex.with_batch(&rids, |ex, objs| {
                     for (i, &(key, _)) in chunk.iter().enumerate() {
                         let (rid, fetched) = objs.get(i);
-                        if fetched.header.is_deleted() {
+                        if fetched.is_deleted() {
                             continue;
                         }
                         match side {
@@ -222,8 +222,8 @@ pub(super) fn run(
                                 report.children_scanned += 1;
                                 ex.store.charge_attr_access(child_class, spec.child_parent);
                                 ex.store.charge_attr_access(child_class, spec.child_project);
-                                let prid = fetched.values[spec.child_parent]
-                                    .as_ref_rid()
+                                let prid = fetched
+                                    .ref_rid(spec.child_parent)
                                     .expect("child parent reference");
                                 let p = partition_of(prid, partitions);
                                 ex.store.charge(CpuEvent::HashInsert, 1);
@@ -281,8 +281,8 @@ pub(super) fn run(
                             report.children_scanned += 1;
                             ex.store.charge_attr_access(child_class, spec.child_parent);
                             ex.store.charge_attr_access(child_class, spec.child_project);
-                            fetched.object().values[spec.child_parent]
-                                .as_ref_rid()
+                            fetched
+                                .ref_rid(spec.child_parent)
                                 .expect("child parent reference")
                         }
                         BuildSide::Children => {
@@ -326,8 +326,8 @@ pub(super) fn run(
                             report.children_scanned += 1;
                             ex.store.charge_attr_access(child_class, spec.child_parent);
                             ex.store.charge_attr_access(child_class, spec.child_project);
-                            fetched.object().values[spec.child_parent]
-                                .as_ref_rid()
+                            fetched
+                                .ref_rid(spec.child_parent)
                                 .expect("child parent reference")
                         }
                         BuildSide::Children => {
@@ -368,7 +368,7 @@ pub(super) fn run(
                 ex.with_batch(&rids, |ex, objs| {
                     for (i, &(key, _)) in chunk.iter().enumerate() {
                         let (rid, fetched) = objs.get(i);
-                        if fetched.header.is_deleted() {
+                        if fetched.is_deleted() {
                             continue;
                         }
                         let join_rid = match side {
@@ -376,8 +376,8 @@ pub(super) fn run(
                                 report.children_scanned += 1;
                                 ex.store.charge_attr_access(child_class, spec.child_parent);
                                 ex.store.charge_attr_access(child_class, spec.child_project);
-                                fetched.values[spec.child_parent]
-                                    .as_ref_rid()
+                                fetched
+                                    .ref_rid(spec.child_parent)
                                     .expect("child parent reference")
                             }
                             BuildSide::Children => {

@@ -73,10 +73,7 @@ pub(super) fn scan_parents(
                 }
                 ex.op(OpKind::SetNav, &spec.children, |ex| {
                     ex.store.charge_attr_access(parent_class, spec.parent_set);
-                    let set = parent.object().values[spec.parent_set]
-                        .as_set()
-                        .expect("parent set attribute");
-                    let mut members = ex.store.set_cursor(set);
+                    let mut members = parent.set(spec.parent_set).expect("parent set attribute");
                     while let Some(crid) = members.next(ex.store.stack_mut()) {
                         ex.with_object(crid, |ex, child| {
                             report.children_scanned += 1;
@@ -85,7 +82,7 @@ pub(super) fn scan_parents(
                             }
                             ex.store.charge_attr_access(child_class, spec.child_key);
                             ex.store.charge(CpuEvent::Compare, 1);
-                            let child_key = int_attr(child.object(), spec.child_key);
+                            let child_key = int_attr(child, spec.child_key);
                             if child_key < spec.child_key_limit {
                                 ex.op(OpKind::Emit, "result", |ex| {
                                     ex.store
@@ -128,10 +125,7 @@ pub(super) fn scan_parents(
                 ex.op(OpKind::SetNav, &spec.children, |ex| {
                     nav_node = ex.current_node();
                     ex.store.charge_attr_access(parent_class, spec.parent_set);
-                    let set = parent.object().values[spec.parent_set]
-                        .as_set()
-                        .expect("parent set attribute");
-                    let mut members = ex.store.set_cursor(set);
+                    let mut members = parent.set(spec.parent_set).expect("parent set attribute");
                     if members.is_inline() {
                         loop {
                             crids.clear();
@@ -141,9 +135,9 @@ pub(super) fn scan_parents(
                             }
                             ex.with_batch(&crids, |ex, objs| {
                                 for i in 0..objs.len() {
-                                    let child = objs.object(i);
+                                    let child = objs.record(i);
                                     report.children_scanned += 1;
-                                    if child.header.is_deleted() {
+                                    if child.is_deleted() {
                                         continue;
                                     }
                                     ex.store.charge_attr_access(child_class, spec.child_key);
@@ -164,7 +158,7 @@ pub(super) fn scan_parents(
                                 }
                                 ex.store.charge_attr_access(child_class, spec.child_key);
                                 ex.store.charge(CpuEvent::Compare, 1);
-                                let child_key = int_attr(child.object(), spec.child_key);
+                                let child_key = int_attr(child, spec.child_key);
                                 if child_key < spec.child_key_limit {
                                     pending.push((parent_key, child_key));
                                 }

@@ -77,8 +77,8 @@ pub(super) fn scan_children(
                     }
                     ex.op(OpKind::BackRefNav, &spec.parents, |ex| {
                         ex.store.charge_attr_access(child_class, spec.child_parent);
-                        let prid = child.object().values[spec.child_parent]
-                            .as_ref_rid()
+                        let prid = child
+                            .ref_rid(spec.child_parent)
                             .expect("child parent reference");
                         ex.with_object(prid, |ex, parent| {
                             report.parents_scanned += 1;
@@ -87,7 +87,7 @@ pub(super) fn scan_children(
                             }
                             ex.store.charge_attr_access(parent_class, spec.parent_key);
                             ex.store.charge(CpuEvent::Compare, 1);
-                            let parent_key = int_attr(parent.object(), spec.parent_key);
+                            let parent_key = int_attr(parent, spec.parent_key);
                             if parent_key < spec.parent_key_limit {
                                 ex.op(OpKind::Emit, "result", |ex| {
                                     ex.store
@@ -116,8 +116,8 @@ pub(super) fn scan_children(
                     ex.op(OpKind::BackRefNav, &spec.parents, |ex| {
                         nav_node = ex.current_node();
                         ex.store.charge_attr_access(child_class, spec.child_parent);
-                        let prid = child.object().values[spec.child_parent]
-                            .as_ref_rid()
+                        let prid = child
+                            .ref_rid(spec.child_parent)
                             .expect("child parent reference");
                         ex.with_object(prid, |ex, parent| {
                             report.parents_scanned += 1;
@@ -126,7 +126,7 @@ pub(super) fn scan_children(
                             }
                             ex.store.charge_attr_access(parent_class, spec.parent_key);
                             ex.store.charge(CpuEvent::Compare, 1);
-                            let parent_key = int_attr(parent.object(), spec.parent_key);
+                            let parent_key = int_attr(parent, spec.parent_key);
                             if parent_key < spec.parent_key_limit {
                                 pending.push((parent_key, child_key));
                             }

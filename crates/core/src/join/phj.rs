@@ -139,7 +139,7 @@ pub(super) fn build_parents(
                     for (i, &(parent_key, _)) in chunk.iter().enumerate() {
                         let (prid, parent) = objs.get(i);
                         report.parents_scanned += 1;
-                        if parent.header.is_deleted() {
+                        if parent.is_deleted() {
                             continue;
                         }
                         ex.store
@@ -186,8 +186,8 @@ pub(super) fn probe_children(
                         return;
                     }
                     ex.store.charge_attr_access(child_class, spec.child_parent);
-                    let prid = child.object().values[spec.child_parent]
-                        .as_ref_rid()
+                    let prid = child
+                        .ref_rid(spec.child_parent)
                         .expect("child parent reference");
                     ex.store.charge(CpuEvent::HashProbe, 1);
                     if swap.touch(rid_hash(prid)) {
@@ -210,14 +210,14 @@ pub(super) fn probe_children(
                 rids.extend(chunk.iter().map(|&(_, r)| r));
                 ex.with_batch(&rids, |ex, objs| {
                     for (i, &(child_key, _)) in chunk.iter().enumerate() {
-                        let child = objs.object(i);
+                        let child = objs.record(i);
                         report.children_scanned += 1;
-                        if child.header.is_deleted() {
+                        if child.is_deleted() {
                             continue;
                         }
                         ex.store.charge_attr_access(child_class, spec.child_parent);
-                        let prid = child.values[spec.child_parent]
-                            .as_ref_rid()
+                        let prid = child
+                            .ref_rid(spec.child_parent)
                             .expect("child parent reference");
                         ex.store.charge(CpuEvent::HashProbe, 1);
                         if swap.touch(rid_hash(prid)) {

@@ -153,7 +153,7 @@ fn run_exec(
                     for (i, &(parent_key, _)) in chunk.iter().enumerate() {
                         let (prid, parent) = objs.get(i);
                         report.parents_scanned += 1;
-                        if parent.header.is_deleted() {
+                        if parent.is_deleted() {
                             continue;
                         }
                         ex.store
@@ -185,8 +185,8 @@ fn run_exec(
                     }
                     ex.store.charge_attr_access(child_class, spec.child_parent);
                     ex.store.charge_attr_access(child_class, spec.child_project);
-                    let prid = child.object().values[spec.child_parent]
-                        .as_ref_rid()
+                    let prid = child
+                        .ref_rid(spec.child_parent)
                         .expect("child parent reference");
                     child_pairs.push((child_key, prid));
                 });
@@ -198,15 +198,15 @@ fn run_exec(
                 rids.extend(chunk.iter().map(|&(_, r)| r));
                 ex.with_batch(&rids, |ex, objs| {
                     for (i, &(child_key, _)) in chunk.iter().enumerate() {
-                        let child = objs.object(i);
+                        let child = objs.record(i);
                         report.children_scanned += 1;
-                        if child.header.is_deleted() {
+                        if child.is_deleted() {
                             continue;
                         }
                         ex.store.charge_attr_access(child_class, spec.child_parent);
                         ex.store.charge_attr_access(child_class, spec.child_project);
-                        let prid = child.values[spec.child_parent]
-                            .as_ref_rid()
+                        let prid = child
+                            .ref_rid(spec.child_parent)
                             .expect("child parent reference");
                         child_pairs.push((child_key, prid));
                     }

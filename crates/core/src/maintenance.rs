@@ -61,11 +61,9 @@ pub fn update_with_indexes(
         let mut old_keys: Vec<(usize, i64)> = Vec::new(); // (registry slot, old key)
         let mut skipped = 0u32;
         for (slot, m) in indexes.iter().enumerate() {
-            if old.object().header.index_ids.contains(&m.index.id) {
-                store.charge_attr_access(old.object().header.class, m.key_attr);
-                let key = old.object().values[m.key_attr]
-                    .as_int()
-                    .expect("indexed attributes are Int") as i64;
+            if old.in_index(m.index.id) {
+                store.charge_attr_access(old.class(), m.key_attr);
+                let key = old.int(m.key_attr).expect("indexed attributes are Int") as i64;
                 old_keys.push((slot, key));
             } else {
                 skipped += 1;

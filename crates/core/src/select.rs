@@ -61,7 +61,7 @@ fn append_result(
 fn residual_pass(
     store: &mut ObjectStore,
     class: tq_objstore::ClassId,
-    obj: &tq_objstore::Object,
+    obj: &tq_objstore::Record,
     sel: &Selection,
 ) -> bool {
     for pred in &sel.residual {
@@ -79,7 +79,7 @@ fn residual_pass(
 fn residual_op(
     ex: &mut ExecContext<'_>,
     class: tq_objstore::ClassId,
-    obj: &tq_objstore::Object,
+    obj: &tq_objstore::Record,
     sel: &Selection,
 ) -> bool {
     if sel.residual.is_empty() {
@@ -133,14 +133,12 @@ pub fn seq_scan(store: &mut ObjectStore, sel: &Selection, collect: bool) -> Sele
                     }
                     ex.store.charge_attr_access(info.class, sel.attr);
                     ex.store.charge(CpuEvent::Compare, 1);
-                    let key_val = int_attr(fetched.object(), sel.attr);
-                    if sel.cmp.eval(key_val, sel.key)
-                        && residual_op(ex, info.class, fetched.object(), sel)
-                    {
+                    let key_val = int_attr(fetched, sel.attr);
+                    if sel.cmp.eval(key_val, sel.key) && residual_op(ex, info.class, fetched, sel) {
                         report.selected += 1;
                         ex.op(OpKind::Emit, "result", |ex| {
                             ex.store.charge_attr_access(info.class, sel.project);
-                            let v = int_attr(fetched.object(), sel.project);
+                            let v = int_attr(fetched, sel.project);
                             append_result(ex.store, sel.result_mode, &mut report.values, v);
                         });
                     }
@@ -162,12 +160,10 @@ pub fn seq_scan(store: &mut ObjectStore, sel: &Selection, collect: bool) -> Sele
                     }
                     ex.store.charge_attr_access(info.class, sel.attr);
                     ex.store.charge(CpuEvent::Compare, 1);
-                    let key_val = int_attr(fetched.object(), sel.attr);
-                    if sel.cmp.eval(key_val, sel.key)
-                        && residual_op(ex, info.class, fetched.object(), sel)
-                    {
+                    let key_val = int_attr(fetched, sel.attr);
+                    if sel.cmp.eval(key_val, sel.key) && residual_op(ex, info.class, fetched, sel) {
                         report.selected += 1;
-                        pending.push((int_attr(fetched.object(), sel.project), 0));
+                        pending.push((int_attr(fetched, sel.project), 0));
                     }
                 });
                 if pending.len() >= batch {
@@ -208,13 +204,13 @@ pub fn index_scan(
             while let Some((_key, rid)) = cursor.next(ex.store.stack_mut()) {
                 ex.with_object(rid, |ex, fetched| {
                     report.scanned += 1;
-                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched.object(), sel) {
+                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
                         return;
                     }
                     report.selected += 1;
                     ex.op(OpKind::Emit, "result", |ex| {
                         ex.store.charge_attr_access(info.class, sel.project);
-                        let v = int_attr(fetched.object(), sel.project);
+                        let v = int_attr(fetched, sel.project);
                         append_result(ex.store, sel.result_mode, &mut report.values, v);
                     });
                 });
@@ -227,11 +223,11 @@ pub fn index_scan(
             while let Some((_key, rid)) = cursor.next(ex.store.stack_mut()) {
                 ex.with_object(rid, |ex, fetched| {
                     report.scanned += 1;
-                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched.object(), sel) {
+                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
                         return;
                     }
                     report.selected += 1;
-                    pending.push((int_attr(fetched.object(), sel.project), 0));
+                    pending.push((int_attr(fetched, sel.project), 0));
                 });
                 if pending.len() >= batch {
                     flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
@@ -283,13 +279,13 @@ pub fn sorted_index_scan(
             for &rid in &rids {
                 ex.with_object(rid, |ex, fetched| {
                     report.scanned += 1;
-                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched.object(), sel) {
+                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
                         return;
                     }
                     report.selected += 1;
                     ex.op(OpKind::Emit, "result", |ex| {
                         ex.store.charge_attr_access(info.class, sel.project);
-                        let v = int_attr(fetched.object(), sel.project);
+                        let v = int_attr(fetched, sel.project);
                         append_result(ex.store, sel.result_mode, &mut report.values, v);
                     });
                 });
@@ -299,10 +295,9 @@ pub fn sorted_index_scan(
             for chunk in rids.chunks(batch) {
                 ex.with_batch(chunk, |ex, objs| {
                     for i in 0..objs.len() {
-                        let fetched = objs.object(i);
+                        let fetched = objs.record(i);
                         report.scanned += 1;
-                        if fetched.header.is_deleted() || !residual_op(ex, info.class, fetched, sel)
-                        {
+                        if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
                             continue;
                         }
                         report.selected += 1;

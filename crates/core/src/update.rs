@@ -20,7 +20,7 @@
 use crate::exec::{self, CancelToken, ExecContext, ExecTrace, OpKind};
 use crate::maintenance::{self, MaintainedIndex};
 use tq_index::BTreeIndex;
-use tq_objstore::{ObjectStore, Value};
+use tq_objstore::{Object, ObjectStore, Value};
 
 /// One range-predicated additive update.
 #[derive(Clone, Debug)]
@@ -83,19 +83,20 @@ pub fn run_update(
     let mut relocated = 0u64;
     let mut index_entries_updated = 0u64;
     ctx.op(OpKind::Update, &spec.collection, |ctx| {
-        let mut values: Vec<Value> = Vec::new();
+        // One shell for the statement: each decode reuses its strings.
+        let mut old = Object::default();
         for (_, rid) in pairs {
-            let class = ctx.with_object(rid, |_ctx, g| {
-                values.clear();
-                values.extend_from_slice(&g.object().values);
-                g.object().header.class
+            ctx.with_object(rid, |_ctx, g| {
+                g.decode_into(&mut old).expect("fetched record decodes")
             });
-            ctx.store.charge_attr_access(class, spec.set_attr);
+            let values = &mut old.values;
+            ctx.store
+                .charge_attr_access(old.header.class, spec.set_attr);
             let old = values[spec.set_attr]
                 .as_int()
                 .expect("updated attribute must be Int");
             values[spec.set_attr] = Value::Int(old.wrapping_add(spec.delta));
-            let report = maintenance::update_with_indexes(ctx.store, maintained, rid, &values);
+            let report = maintenance::update_with_indexes(ctx.store, maintained, rid, values);
             updated += 1;
             relocated += report.relocated as u64;
             index_entries_updated += report.indexes_updated as u64;

@@ -30,7 +30,7 @@ pub mod store;
 pub mod value;
 
 pub use handle::{GetOutcome, HandleStats, HandleTable, HANDLE_BYTES};
-pub use record::{DecodeError, Object, ObjectHeader, INDEX_HEADROOM};
+pub use record::{DecodeError, Object, ObjectHeader, Record, INDEX_HEADROOM};
 pub use rid::{Rid, RID_BYTES};
 pub use ridlist::{RidRun, RidRunCursor, RIDS_PER_PAGE};
 pub use schema::{Attr, AttrId, AttrType, ClassDef, ClassId, Schema};

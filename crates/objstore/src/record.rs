@@ -30,6 +30,7 @@
 
 use crate::rid::{Rid, RID_BYTES};
 use crate::schema::{AttrType, ClassDef, ClassId};
+use crate::store::SetCursor;
 use crate::value::{SetValue, Value};
 use tq_pagestore::FileId;
 
@@ -50,7 +51,7 @@ pub mod flags {
 pub const INDEX_HEADROOM: u8 = 8;
 
 /// Decoded record header.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObjectHeader {
     /// Flag bits (see [`flags`]).
     pub flags: u8,
@@ -120,7 +121,8 @@ impl ObjectHeader {
 }
 
 /// A decoded object: header plus attribute values in schema order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The default is an empty shell for [`decode_into`] to fill.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Object {
     /// Record header.
     pub header: ObjectHeader,
@@ -238,6 +240,11 @@ pub fn is_forwarder(bytes: &[u8]) -> bool {
     !bytes.is_empty() && bytes[0] & flags::FORWARDER != 0
 }
 
+/// Where a forwarder points; `None` when `bytes` are an object.
+pub fn forwarder_target(bytes: &[u8]) -> Option<Rid> {
+    is_forwarder(bytes).then(|| Rid::decode(&bytes[1..]))
+}
+
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -275,15 +282,28 @@ impl<'a> Reader<'a> {
     fn rid(&mut self) -> Result<Rid, DecodeError> {
         Ok(Rid::decode(self.take(RID_BYTES)?))
     }
+
+    /// The fixed five header bytes: `(flags, class, idx cap, idx cnt)`,
+    /// or the forwarding address when the record is a forwarder.
+    fn header_prefix(&mut self) -> Result<(u8, ClassId, u8, u8), DecodeError> {
+        let fl = self.u8()?;
+        if fl & flags::FORWARDER != 0 {
+            return Err(DecodeError::Forwarded(self.rid()?));
+        }
+        let class = ClassId(self.u16()?);
+        let capacity = self.u8()?;
+        let count = self.u8()?;
+        if count > capacity {
+            return Err(DecodeError::Corrupt("index count exceeds capacity"));
+        }
+        Ok((fl, class, capacity, count))
+    }
 }
 
 /// Deserializes a record. Returns [`DecodeError::Forwarded`] when the
 /// record is a forwarding address.
 pub fn decode(class_def: &ClassDef, bytes: &[u8]) -> Result<Object, DecodeError> {
-    let mut out = Object {
-        header: ObjectHeader::new(ClassId(0), false),
-        values: Vec::new(),
-    };
+    let mut out = Object::default();
     decode_into(class_def, bytes, &mut out)?;
     Ok(out)
 }
@@ -308,17 +328,18 @@ pub fn decode_into(
     bytes: &[u8],
     out: &mut Object,
 ) -> Result<(), DecodeError> {
+    decode_typed(class_def.attrs.iter().map(|a| a.ty), bytes, out)
+}
+
+/// [`decode_into`] over the attribute types alone, which is all of the
+/// class definition the encoding depends on.
+fn decode_typed(
+    types: impl ExactSizeIterator<Item = AttrType>,
+    bytes: &[u8],
+    out: &mut Object,
+) -> Result<(), DecodeError> {
     let mut r = Reader { bytes, at: 0 };
-    let fl = r.u8()?;
-    if fl & flags::FORWARDER != 0 {
-        return Err(DecodeError::Forwarded(r.rid()?));
-    }
-    let class = ClassId(r.u16()?);
-    let capacity = r.u8()?;
-    let count = r.u8()?;
-    if count > capacity {
-        return Err(DecodeError::Corrupt("index count exceeds capacity"));
-    }
+    let (fl, class, capacity, count) = r.header_prefix()?;
     out.header.flags = fl;
     out.header.class = class;
     out.header.index_capacity = capacity;
@@ -329,8 +350,9 @@ pub fn decode_into(
             out.header.index_ids.push(id);
         }
     }
-    for (i, attr) in class_def.attrs.iter().enumerate() {
-        match attr.ty {
+    let attr_count = types.len();
+    for (i, ty) in types.enumerate() {
+        match ty {
             AttrType::Int => set_slot(&mut out.values, i, Value::Int(r.i32()?)),
             AttrType::Char => set_slot(&mut out.values, i, Value::Char(r.u8()?)),
             AttrType::Str => {
@@ -393,8 +415,112 @@ pub fn decode_into(
             },
         }
     }
-    out.values.truncate(class_def.attrs.len());
+    out.values.truncate(attr_count);
     Ok(())
+}
+
+/// A fetched record kept as the raw bytes it has on its page, plus the
+/// offset and type of each attribute's encoding.
+///
+/// [`view_into`] checks the structure exactly as [`decode_into`] does —
+/// every length, the set tags, the index count — so the accessors read
+/// in-bounds bytes without re-validating. The one check left to the
+/// reader is UTF-8: a string is validated when it is materialised
+/// ([`Record::decode_into`]), not when the record is fetched.
+#[derive(Clone, Debug, Default)]
+pub struct Record {
+    bytes: Vec<u8>,
+    attrs: Vec<(u32, AttrType)>,
+}
+
+/// Points `out` at a copy of `bytes`, validated against `class_def`;
+/// reuses `out`'s buffers. Fails on what [`decode_into`] fails on, with
+/// the same error, except that string contents are not looked at.
+///
+/// On any error `out` is left in an unspecified but valid state.
+pub fn view_into(class_def: &ClassDef, bytes: &[u8], out: &mut Record) -> Result<(), DecodeError> {
+    let mut r = Reader { bytes, at: 0 };
+    let (.., capacity, _) = r.header_prefix()?;
+    r.take(2 * capacity as usize)?;
+    out.attrs.clear();
+    for attr in &class_def.attrs {
+        out.attrs.push((r.at as u32, attr.ty));
+        let len = match attr.ty {
+            AttrType::Int => 4,
+            AttrType::Char => 1,
+            AttrType::Str => r.u16()? as usize,
+            AttrType::Ref(_) => RID_BYTES,
+            AttrType::SetRef(_) => match r.u8()? {
+                0 => r.u16()? as usize * RID_BYTES,
+                1 => 10,
+                _ => return Err(DecodeError::Corrupt("bad set tag")),
+            },
+        };
+        r.take(len)?;
+    }
+    out.bytes.clear();
+    out.bytes.extend_from_slice(&bytes[..r.at]);
+    Ok(())
+}
+
+impl Record {
+    /// The object's exact class.
+    pub fn class(&self) -> ClassId {
+        ClassId(u16::from_le_bytes([self.bytes[1], self.bytes[2]]))
+    }
+
+    /// True when the object is logically deleted.
+    pub fn is_deleted(&self) -> bool {
+        self.bytes[0] & flags::DELETED != 0
+    }
+
+    /// True when the header lists membership in `index_id`.
+    pub fn in_index(&self, index_id: u16) -> bool {
+        self.bytes[5..5 + 2 * self.bytes[4] as usize]
+            .chunks_exact(2)
+            .any(|id| id == index_id.to_le_bytes())
+    }
+
+    /// Integer payload of attribute `i`, if it is an `Int`.
+    pub fn int(&self, i: usize) -> Option<i32> {
+        match self.attrs[i] {
+            (at, AttrType::Int) => {
+                let b = &self.bytes[at as usize..];
+                Some(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            }
+            _ => None,
+        }
+    }
+
+    /// Reference payload of attribute `i`, if it is a `Ref`.
+    pub fn ref_rid(&self, i: usize) -> Option<Rid> {
+        match self.attrs[i] {
+            (at, AttrType::Ref(_)) => Some(Rid::decode(&self.bytes[at as usize..])),
+            _ => None,
+        }
+    }
+
+    /// A cursor over the members of attribute `i`, if it is a set.
+    /// Inline members are read off this record's bytes.
+    pub fn set(&self, i: usize) -> Option<SetCursor<'_>> {
+        let (at, AttrType::SetRef(_)) = self.attrs[i] else {
+            return None;
+        };
+        let b = &self.bytes[at as usize..];
+        let u32_at = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        let short = u16::from_le_bytes([b[1], b[2]]);
+        Some(match b[0] {
+            0 => SetCursor::InlineRaw(&b[3..3 + short as usize * RID_BYTES]),
+            _ => SetCursor::overflow(FileId(short as u32), u32_at(3), u32_at(7)),
+        })
+    }
+
+    /// Materialises the eager [`Object`] into `out`, reusing its
+    /// allocations as [`decode_into`] does. Fails only on a string that
+    /// is not UTF-8.
+    pub fn decode_into(&self, out: &mut Object) -> Result<(), DecodeError> {
+        decode_typed(self.attrs.iter().map(|a| a.1), &self.bytes, out)
+    }
 }
 
 /// Decodes only the record header — no attribute values, no
@@ -407,16 +533,7 @@ pub fn decode_into(
 /// address.
 pub fn decode_header(bytes: &[u8]) -> Result<ObjectHeader, DecodeError> {
     let mut r = Reader { bytes, at: 0 };
-    let fl = r.u8()?;
-    if fl & flags::FORWARDER != 0 {
-        return Err(DecodeError::Forwarded(r.rid()?));
-    }
-    let class = ClassId(r.u16()?);
-    let capacity = r.u8()?;
-    let count = r.u8()?;
-    if count > capacity {
-        return Err(DecodeError::Corrupt("index count exceeds capacity"));
-    }
+    let (fl, class, capacity, count) = r.header_prefix()?;
     let mut index_ids = Vec::with_capacity(count as usize);
     for i in 0..capacity {
         let id = r.u16()?;

@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// Index of a class within its [`Schema`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClassId(pub u16);
 
 impl fmt::Debug for ClassId {

@@ -19,13 +19,14 @@
 //!   in-memory handle whose CPU cost is charged to the simulated clock.
 
 use crate::handle::{GetOutcome, HandleStats, HandleTable};
-use crate::record::{self, DecodeError, Object, ObjectHeader};
-use crate::rid::Rid;
+use crate::record::{self, DecodeError, Object, ObjectHeader, Record};
+use crate::rid::{Rid, RID_BYTES};
 use crate::ridlist::{self, RidRun, RidRunCursor, RIDS_PER_PAGE};
 #[cfg(test)]
 use crate::schema::AttrType;
-use crate::schema::{AttrId, ClassId, Schema};
+use crate::schema::{AttrId, ClassDef, ClassId, Schema};
 use crate::value::{SetValue, Value};
+use std::cell::OnceCell;
 use tq_fasthash::FxHashMap;
 use tq_pagestore::{CpuEvent, FileId, IoStats, PageId, SimClock, StorageStack, PAGE_SIZE};
 
@@ -79,12 +80,18 @@ pub struct Fetched {
 /// silently skewing the handle counters the paper's analysis rests on.
 /// Release builds let the drop pass (the handle leaks until
 /// `end_of_query`, exactly as a forgotten `release()` would have).
+///
+/// The guard derefs to the fetched [`Record`]; operators read the
+/// attributes they need through its accessors.
 #[derive(Debug)]
 pub struct ObjGuard {
     rid: Rid,
-    /// `Some` while the pin is armed; taken by
+    record: Record,
+    /// True while the pin is held; cleared by
     /// [`ObjectStore::release_guard`].
-    object: Option<Object>,
+    armed: bool,
+    /// [`ObjGuard::object`]'s materialisation, made on first use.
+    object: OnceCell<Box<Object>>,
 }
 
 impl ObjGuard {
@@ -93,20 +100,29 @@ impl ObjGuard {
         self.rid
     }
 
-    /// The decoded object.
+    /// The decoded object, materialised from the record on first call.
     pub fn object(&self) -> &Object {
-        self.object.as_ref().expect("guard already released")
+        self.object.get_or_init(|| {
+            let mut object = Box::default();
+            self.record
+                .decode_into(&mut object)
+                .unwrap_or_else(|e| panic!("corrupt record at {:?}: {e:?}", self.rid));
+            object
+        })
     }
+}
 
-    /// Whether the object carries the logical-delete flag.
-    pub fn is_deleted(&self) -> bool {
-        self.object().header.is_deleted()
+impl std::ops::Deref for ObjGuard {
+    type Target = Record;
+
+    fn deref(&self) -> &Record {
+        &self.record
     }
 }
 
 impl Drop for ObjGuard {
     fn drop(&mut self) {
-        if self.object.is_some() && cfg!(debug_assertions) && !std::thread::panicking() {
+        if self.armed && cfg!(debug_assertions) && !std::thread::panicking() {
             panic!(
                 "ObjGuard for {:?} dropped without ObjectStore::release_guard: leaked handle pin",
                 self.rid
@@ -115,20 +131,20 @@ impl Drop for ObjGuard {
     }
 }
 
-/// A reusable arena of decoded objects for [`ObjectStore::fetch_batch`].
+/// A reusable arena of fetched records for [`ObjectStore::fetch_batch`].
 ///
-/// Holds one recycled [`Object`] shell per slot; shells persist across
-/// batches (and across queries, when the caller keeps the arena), so a
-/// warm batch loop never allocates. Between a `fetch_batch` and its
+/// Holds one recycled [`Record`] per slot; they persist across batches
+/// (and across queries, when the caller keeps the arena), so a warm
+/// batch loop never allocates. Between a `fetch_batch` and its
 /// `release_batch` the arena is *armed*: `len()` objects are pinned and
 /// readable through [`ObjBatch::get`].
 #[derive(Debug, Default)]
 pub struct ObjBatch {
     /// Canonical (post-forwarding) rids of the armed entries.
     rids: Vec<Rid>,
-    /// Shell pool; the first `rids.len()` hold armed objects, the rest
+    /// Record pool; the first `rids.len()` hold armed records, the rest
     /// are spares from earlier, larger batches.
-    shells: Vec<Object>,
+    records: Vec<Record>,
 }
 
 impl ObjBatch {
@@ -147,14 +163,14 @@ impl ObjBatch {
         self.rids[i]
     }
 
-    /// Decoded object of entry `i`.
-    pub fn object(&self, i: usize) -> &Object {
-        &self.shells[i]
+    /// Fetched record of entry `i`.
+    pub fn record(&self, i: usize) -> &Record {
+        &self.records[i]
     }
 
-    /// `(canonical rid, object)` of entry `i`.
-    pub fn get(&self, i: usize) -> (Rid, &Object) {
-        (self.rids[i], &self.shells[i])
+    /// `(canonical rid, record)` of entry `i`.
+    pub fn get(&self, i: usize) -> (Rid, &Record) {
+        (self.rids[i], &self.records[i])
     }
 }
 
@@ -176,6 +192,8 @@ pub struct ObjectStore {
     /// returning one via [`ObjectStore::release`] lets the next fetch
     /// of a same-shaped object decode without heap allocation.
     spare: Vec<Object>,
+    /// The same pool for [`ObjectStore::fetch_guard`]'s records.
+    spare_records: Vec<Record>,
     /// Reusable encode buffer for [`ObjectStore::insert`] and
     /// [`ObjectStore::update`] — bulk loads encode millions of records
     /// through one allocation.
@@ -197,6 +215,7 @@ impl ObjectStore {
             tails: FxHashMap::default(),
             fill_limit: DEFAULT_FILL_LIMIT,
             spare: Vec::new(),
+            spare_records: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -276,24 +295,28 @@ impl ObjectStore {
         Rid::new(pid, slot)
     }
 
-    /// Resolves forwarders: returns the canonical rid and raw record
-    /// bytes. Each hop is a (charged) page access.
-    fn resolve(&mut self, mut rid: Rid) -> (Rid, Vec<u8>) {
-        loop {
-            let page = self.stack.read_page(rid.page);
-            let bytes = page
-                .read(rid.slot)
-                .unwrap_or_else(|| panic!("dangling rid {rid:?}"))
-                .to_vec();
-            if record::is_forwarder(&bytes) {
-                rid = match record::decode(self.schema.class(ClassId(0)), &bytes) {
-                    Err(DecodeError::Forwarded(next)) => next,
-                    _ => unreachable!("is_forwarder guaranteed a forwarder"),
-                };
-                continue;
+    /// The one fetch path: locates the record, hands its class and
+    /// bytes to `decode` while they sit on the page, then pins the
+    /// handle and charges the access. Returns the canonical rid.
+    fn fetch_with(
+        &mut self,
+        rid: Rid,
+        decode: impl FnOnce(&ClassDef, &[u8]) -> Result<(), DecodeError>,
+    ) -> Rid {
+        let schema = &self.schema;
+        let rid = locate(&mut self.stack, rid, |rid, bytes| {
+            let class = record::peek_class(bytes).expect("located record is an object");
+            decode(schema.class(class), bytes)
+                .unwrap_or_else(|e| panic!("corrupt record at {rid:?}: {e:?}"));
+            rid
+        });
+        match self.handles.get(rid) {
+            GetOutcome::Allocated => self.stack.charge(CpuEvent::HandleAlloc, 1),
+            GetOutcome::Touched | GetOutcome::Revived => {
+                self.stack.charge(CpuEvent::HandleTouch, 1)
             }
-            return (rid, bytes);
         }
+        rid
     }
 
     /// Fetches an object, pinning its handle and charging the access.
@@ -301,40 +324,12 @@ impl ObjectStore {
     /// Decodes straight from the page image into a recycled [`Object`]
     /// (see [`ObjectStore::release`]) — no intermediate byte copy, and
     /// no allocation at all once the pool is warm.
-    pub fn fetch(&mut self, mut rid: Rid) -> Fetched {
-        let mut object = self.spare.pop().unwrap_or_else(|| Object {
-            header: ObjectHeader::new(ClassId(0), false),
-            values: Vec::new(),
+    pub fn fetch(&mut self, rid: Rid) -> Fetched {
+        let mut object = self.spare.pop().unwrap_or_default();
+        let rid = self.fetch_with(rid, |class, bytes| {
+            record::decode_into(class, bytes, &mut object)
         });
-        let canonical = loop {
-            // `page` borrows `self.stack`; the schema and the decode
-            // target are disjoint, so no bytes leave the page.
-            let page = self.stack.read_page(rid.page);
-            let bytes = page
-                .read(rid.slot)
-                .unwrap_or_else(|| panic!("dangling rid {rid:?}"));
-            if record::is_forwarder(bytes) {
-                rid = match record::decode(self.schema.class(ClassId(0)), bytes) {
-                    Err(DecodeError::Forwarded(next)) => next,
-                    _ => unreachable!("is_forwarder guaranteed a forwarder"),
-                };
-                continue;
-            }
-            let class = record::peek_class(bytes).expect("resolved record is an object");
-            record::decode_into(self.schema.class(class), bytes, &mut object)
-                .unwrap_or_else(|e| panic!("corrupt record at {rid:?}: {e:?}"));
-            break rid;
-        };
-        match self.handles.get(canonical) {
-            GetOutcome::Allocated => self.stack.charge(CpuEvent::HandleAlloc, 1),
-            GetOutcome::Touched | GetOutcome::Revived => {
-                self.stack.charge(CpuEvent::HandleTouch, 1)
-            }
-        }
-        Fetched {
-            rid: canonical,
-            object,
-        }
+        Fetched { rid, object }
     }
 
     /// Unpins the handle and recycles the object's allocations for the
@@ -348,23 +343,32 @@ impl ObjectStore {
         }
     }
 
-    /// Like [`ObjectStore::fetch`], but the pin comes back as an RAII
-    /// [`ObjGuard`]: forgetting [`ObjectStore::release_guard`] panics in
-    /// debug builds. Query operators fetch exclusively through this.
+    /// Like [`ObjectStore::fetch`], but decodes nothing — the guard
+    /// holds the validated [`Record`] — and the pin comes back as an
+    /// RAII [`ObjGuard`]: forgetting [`ObjectStore::release_guard`]
+    /// panics in debug builds. Query operators fetch exclusively
+    /// through this.
     pub fn fetch_guard(&mut self, rid: Rid) -> ObjGuard {
-        let f = self.fetch(rid);
+        let mut record = self.spare_records.pop().unwrap_or_default();
+        let rid = self.fetch_with(rid, |class, bytes| {
+            record::view_into(class, bytes, &mut record)
+        });
         ObjGuard {
-            rid: f.rid,
-            object: Some(f.object),
+            rid,
+            record,
+            armed: true,
+            object: OnceCell::new(),
         }
     }
 
-    /// Consumes a guard: unpins the handle and recycles the object
-    /// shell, exactly like [`ObjectStore::release`].
+    /// Consumes a guard: unpins the handle and recycles the record's
+    /// buffers, exactly like [`ObjectStore::release`].
     pub fn release_guard(&mut self, mut guard: ObjGuard) {
-        let object = guard.object.take().expect("guard already released");
-        let rid = guard.rid;
-        self.release(Fetched { rid, object });
+        guard.armed = false;
+        self.unref(guard.rid);
+        if self.spare_records.len() < OBJECT_POOL_CAP {
+            self.spare_records.push(std::mem::take(&mut guard.record));
+        }
     }
 
     /// Fetches `rid`, runs `f` with the guarded object, and releases —
@@ -377,8 +381,8 @@ impl ObjectStore {
         out
     }
 
-    /// Fetches a batch of **distinct** objects into `out`, decoding
-    /// each off its page exactly as [`ObjectStore::fetch`] would:
+    /// Fetches a batch of **distinct** objects into `out`, reading
+    /// each off its page exactly as [`ObjectStore::fetch_guard`] would:
     /// per-rid page reads (forwarder hops included), then the handle
     /// get and its charge, in input order. Input order is preserved
     /// deliberately — LRU recency is order-sensitive, and batching is
@@ -393,39 +397,12 @@ impl ObjectStore {
         debug_assert!(out.is_empty(), "fetch_batch into an armed ObjBatch");
         out.rids.clear();
         for (i, &rid) in rids.iter().enumerate() {
-            if out.shells.len() <= i {
-                out.shells.push(self.spare.pop().unwrap_or_else(|| Object {
-                    header: ObjectHeader::new(ClassId(0), false),
-                    values: Vec::new(),
-                }));
+            if out.records.len() <= i {
+                out.records.push(Record::default());
             }
-            let canonical = {
-                let mut rid = rid;
-                loop {
-                    let page = self.stack.read_page(rid.page);
-                    let bytes = page
-                        .read(rid.slot)
-                        .unwrap_or_else(|| panic!("dangling rid {rid:?}"));
-                    if record::is_forwarder(bytes) {
-                        rid = match record::decode(self.schema.class(ClassId(0)), bytes) {
-                            Err(DecodeError::Forwarded(next)) => next,
-                            _ => unreachable!("is_forwarder guaranteed a forwarder"),
-                        };
-                        continue;
-                    }
-                    let class = record::peek_class(bytes).expect("resolved record is an object");
-                    record::decode_into(self.schema.class(class), bytes, &mut out.shells[i])
-                        .unwrap_or_else(|e| panic!("corrupt record at {rid:?}: {e:?}"));
-                    break rid;
-                }
-            };
-            match self.handles.get(canonical) {
-                GetOutcome::Allocated => self.stack.charge(CpuEvent::HandleAlloc, 1),
-                GetOutcome::Touched | GetOutcome::Revived => {
-                    self.stack.charge(CpuEvent::HandleTouch, 1)
-                }
-            }
-            out.rids.push(canonical);
+            let record = &mut out.records[i];
+            let rid = self.fetch_with(rid, |class, bytes| record::view_into(class, bytes, record));
+            out.rids.push(rid);
         }
         #[cfg(debug_assertions)]
         {
@@ -490,30 +467,18 @@ impl ObjectStore {
     /// record no longer fits its page it is relocated to the end of its
     /// file and a forwarder is left behind.
     pub fn update(&mut self, rid: Rid, values: &[Value]) -> Rid {
-        let (canonical, header) = self.resolve_header(rid);
+        // The header only: every value is replaced anyway, so the old
+        // attributes are dead weight.
+        let (canonical, header) = locate(&mut self.stack, rid, |rid, bytes| {
+            let header = record::decode_header(bytes)
+                .unwrap_or_else(|e| panic!("corrupt record at {rid:?}: {e:?}"));
+            (rid, header)
+        });
         let mut bytes = std::mem::take(&mut self.scratch);
         record::encode_into(self.schema.class(header.class), &header, values, &mut bytes);
         let final_rid = self.rewrite(canonical, &bytes);
         self.scratch = bytes;
         final_rid
-    }
-
-    /// Follows forwarders to the canonical record and decodes only its
-    /// header — no byte copy, no attribute decode. The update path
-    /// replaces every value anyway, so the old attributes are dead
-    /// weight.
-    fn resolve_header(&mut self, mut rid: Rid) -> (Rid, ObjectHeader) {
-        loop {
-            let page = self.stack.read_page(rid.page);
-            let bytes = page
-                .read(rid.slot)
-                .unwrap_or_else(|| panic!("dangling rid {rid:?}"));
-            match record::decode_header(bytes) {
-                Ok(header) => return (rid, header),
-                Err(DecodeError::Forwarded(next)) => rid = next,
-                Err(e) => panic!("corrupt record at {rid:?}: {e:?}"),
-            }
-        }
     }
 
     /// Writes `new_bytes` at `rid`, relocating on overflow. Returns the
@@ -536,16 +501,25 @@ impl ObjectStore {
         new_rid
     }
 
+    /// Decodes the object at `rid` for a header rewrite, unpinned:
+    /// `(canonical rid, class, object)`.
+    fn load(&mut self, rid: Rid) -> (Rid, ClassId, Object) {
+        let schema = &self.schema;
+        locate(&mut self.stack, rid, |rid, bytes| {
+            let class = record::peek_class(bytes).expect("located record is an object");
+            let object = record::decode(schema.class(class), bytes)
+                .unwrap_or_else(|e| panic!("corrupt record at {rid:?}: {e:?}"));
+            (rid, class, object)
+        })
+    }
+
     /// Logically deletes the object at `rid`: its header gains the
     /// `DELETED` flag in place (same record size). Physical rids keep
     /// resolving — O2 cannot reclaim a slot other objects may
     /// reference — and every scan skips flagged objects. Returns the
     /// canonical rid.
     pub fn mark_deleted(&mut self, rid: Rid) -> Rid {
-        let (canonical, bytes) = self.resolve(rid);
-        let class = record::peek_class(&bytes).expect("resolved record is an object");
-        let mut object = record::decode(self.schema.class(class), &bytes)
-            .unwrap_or_else(|e| panic!("corrupt record at {canonical:?}: {e:?}"));
+        let (canonical, class, mut object) = self.load(rid);
         object.header.mark_deleted();
         let new_bytes = record::encode(self.schema.class(class), &object.header, &object.values);
         let final_rid = self.rewrite(canonical, &new_bytes);
@@ -558,10 +532,7 @@ impl ObjectStore {
     /// no free index slot. Returns the final rid and whether the record
     /// was relocated.
     pub fn add_index_membership(&mut self, rid: Rid, index_id: u16) -> (Rid, bool, bool) {
-        let (canonical, bytes) = self.resolve(rid);
-        let class = record::peek_class(&bytes).expect("resolved record is an object");
-        let mut object = record::decode(self.schema.class(class), &bytes)
-            .unwrap_or_else(|e| panic!("corrupt record at {canonical:?}: {e:?}"));
+        let (canonical, class, mut object) = self.load(rid);
         if object.header.add_index(index_id) {
             // Fits the existing headroom: rewrite in place (same size).
             let new_bytes =
@@ -651,18 +622,13 @@ impl ObjectStore {
     /// memory (the owning record is already pinned); overflow sets read
     /// their rid-run pages through the cache.
     pub fn set_cursor<'a>(&self, set: &'a SetValue) -> SetCursor<'a> {
-        match set {
-            SetValue::Inline(rids) => SetCursor::Inline { rids, at: 0 },
+        match *set {
+            SetValue::Inline(ref rids) => SetCursor::Inline(rids),
             SetValue::Overflow {
                 file,
                 first_page,
                 count,
-            } => SetCursor::Overflow(RidRunCursor::new(RidRun {
-                file: *file,
-                first_page: *first_page,
-                page_count: (*count as u64).div_ceil(RIDS_PER_PAGE as u64) as u32,
-                count: *count as u64,
-            })),
+            } => SetCursor::overflow(file, first_page, count),
         }
     }
 
@@ -756,28 +722,58 @@ impl ObjectStore {
     }
 }
 
-/// Cursor over a set attribute's members.
+/// Follows forwarders from `rid` to the canonical record and runs `f`
+/// on its rid and its bytes, in place on the page. Each hop is a
+/// (charged) page access.
+fn locate<R>(stack: &mut StorageStack, mut rid: Rid, f: impl FnOnce(Rid, &[u8]) -> R) -> R {
+    loop {
+        let bytes = stack
+            .read_page(rid.page)
+            .read(rid.slot)
+            .unwrap_or_else(|| panic!("dangling rid {rid:?}"));
+        match record::forwarder_target(bytes) {
+            Some(next) => rid = next,
+            None => return f(rid, bytes),
+        }
+    }
+}
+
+/// Cursor over a set attribute's members. The inline variants hold the
+/// members *not yet returned*.
 #[derive(Clone, Debug)]
 pub enum SetCursor<'a> {
-    /// Inline set: members borrowed from the decoded object (no copy).
-    Inline {
-        /// The member rids.
-        rids: &'a [Rid],
-        /// Next index to return.
-        at: usize,
-    },
+    /// Inline set of a decoded [`SetValue`] (no copy).
+    Inline(&'a [Rid]),
+    /// Inline set of a [`Record`]: the members' 8-byte encodings.
+    InlineRaw(&'a [u8]),
     /// Overflow set: members streamed from rid-run pages.
     Overflow(RidRunCursor),
 }
 
 impl SetCursor<'_> {
+    /// A cursor over the overflow set `count` rids long that starts at
+    /// `first_page` of `file`.
+    pub(crate) fn overflow(file: FileId, first_page: u32, count: u32) -> Self {
+        SetCursor::Overflow(RidRunCursor::new(RidRun {
+            file,
+            first_page,
+            page_count: (count as u64).div_ceil(RIDS_PER_PAGE as u64) as u32,
+            count: count as u64,
+        }))
+    }
+
     /// Next member rid.
     pub fn next(&mut self, stack: &mut StorageStack) -> Option<Rid> {
         match self {
-            SetCursor::Inline { rids, at } => {
-                let r = rids.get(*at).copied();
-                *at += 1;
-                r
+            SetCursor::Inline(rids) => {
+                let (&rid, rest) = rids.split_first()?;
+                *rids = rest;
+                Some(rid)
+            }
+            SetCursor::InlineRaw(bytes) => {
+                let (rid, rest) = bytes.split_first_chunk::<RID_BYTES>()?;
+                *bytes = rest;
+                Some(Rid::decode(rid))
             }
             SetCursor::Overflow(c) => c.next(stack),
         }
@@ -786,7 +782,8 @@ impl SetCursor<'_> {
     /// Number of members not yet returned.
     pub fn remaining(&self) -> u64 {
         match self {
-            SetCursor::Inline { rids, at } => (rids.len() - at) as u64,
+            SetCursor::Inline(rids) => rids.len() as u64,
+            SetCursor::InlineRaw(bytes) => (bytes.len() / RID_BYTES) as u64,
             SetCursor::Overflow(c) => c.remaining(),
         }
     }
@@ -798,7 +795,7 @@ impl SetCursor<'_> {
     /// Overflow sets interleave rid-run page reads with the member
     /// fetches; reordering those would perturb cache recency.
     pub fn is_inline(&self) -> bool {
-        matches!(self, SetCursor::Inline { .. })
+        !matches!(self, SetCursor::Overflow(_))
     }
 
     /// Drains up to `max` member rids into `out`. Inline sets drain
@@ -808,10 +805,15 @@ impl SetCursor<'_> {
     /// interleave. Appends nothing when the set is exhausted.
     pub fn next_chunk(&mut self, stack: &mut StorageStack, max: usize, out: &mut Vec<Rid>) {
         match self {
-            SetCursor::Inline { rids, at } => {
-                let end = (*at + max).min(rids.len());
-                out.extend_from_slice(&rids[*at..end]);
-                *at = end;
+            SetCursor::Inline(rids) => {
+                let (now, rest) = rids.split_at(max.min(rids.len()));
+                out.extend_from_slice(now);
+                *rids = rest;
+            }
+            SetCursor::InlineRaw(bytes) => {
+                let (now, rest) = bytes.split_at(max.saturating_mul(RID_BYTES).min(bytes.len()));
+                out.extend(now.chunks_exact(RID_BYTES).map(Rid::decode));
+                *bytes = rest;
             }
             SetCursor::Overflow(c) => c.next_chunk(stack, max, out),
         }
@@ -1078,6 +1080,28 @@ mod tests {
     }
 
     #[test]
+    fn exhausted_inline_cursors_report_nothing_remaining() {
+        // `next` past the end used to keep advancing the position, and
+        // `remaining` then subtracted it from the length.
+        let (mut store, item, file) = item_store();
+        let a = store.insert(file, item, &item_values(1, "a"), true);
+        let set = SetValue::Inline(vec![a]);
+        let raw = a.encode();
+        for mut cursor in [store.set_cursor(&set), SetCursor::InlineRaw(&raw)] {
+            assert!(cursor.is_inline());
+            assert_eq!(cursor.remaining(), 1);
+            assert_eq!(cursor.next(store.stack_mut()), Some(a));
+            for _ in 0..2 {
+                assert_eq!(cursor.next(store.stack_mut()), None);
+                assert_eq!(cursor.remaining(), 0);
+            }
+            let mut out = Vec::new();
+            cursor.next_chunk(store.stack_mut(), 8, &mut out);
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
     fn mark_deleted_flags_in_place() {
         let (mut store, item, file) = item_store();
         let rid = store.insert(file, item, &item_values(1, "victim"), true);
@@ -1155,9 +1179,10 @@ mod tests {
 
     #[test]
     fn fetch_batch_charges_exactly_like_a_fetch_loop() {
-        // Two identical stores, same rid stream: a fetch/unref loop on
-        // one, fetch_batch/release_batch on the other. Every observable
-        // counter must match — batching is an execution detail.
+        // Three identical stores, same rid stream: an eager fetch/unref
+        // loop, fetch_batch/release_batch, and a lazy fetch_guard loop.
+        // Every observable counter must match — batching and laziness
+        // are execution details.
         let build = || {
             let (mut store, item, file) = item_store();
             let rids: Vec<Rid> = (0..250)
@@ -1185,15 +1210,23 @@ mod tests {
             for (i, &want) in chunk.iter().enumerate() {
                 let (rid, obj) = batch.get(i);
                 assert_eq!(rid, want);
-                assert!(!obj.header.is_deleted());
+                assert!(!obj.is_deleted());
             }
             b.release_batch(&mut batch);
             assert!(batch.is_empty());
         }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.handle_stats(), b.handle_stats());
-        assert_eq!(a.clock().io_time(), b.clock().io_time());
-        assert_eq!(a.clock().cpu_time(), b.clock().cpu_time());
+        let (mut c, rids_c) = build();
+        for (i, &rid) in rids_c.iter().enumerate() {
+            let g = c.fetch_guard(rid);
+            assert_eq!(g.int(0), Some(i as i32));
+            c.release_guard(g);
+        }
+        for lazy in [&b, &c] {
+            assert_eq!(a.stats(), lazy.stats());
+            assert_eq!(a.handle_stats(), lazy.handle_stats());
+            assert_eq!(a.clock().io_time(), lazy.clock().io_time());
+            assert_eq!(a.clock().cpu_time(), lazy.clock().cpu_time());
+        }
     }
 
     #[test]
@@ -1211,10 +1244,12 @@ mod tests {
         let mut batch = ObjBatch::default();
         store.fetch_batch(&rids[..50], &mut batch);
         for (i, &orig) in rids[..50].iter().enumerate() {
-            let (canonical, obj) = batch.get(i);
+            let (canonical, record) = batch.get(i);
             let scalar = store.fetch(orig);
             assert_eq!(canonical, scalar.rid, "same canonical rid as fetch");
-            assert_eq!(obj.values, scalar.object.values);
+            let mut obj = Object::default();
+            record.decode_into(&mut obj).unwrap();
+            assert_eq!(obj, scalar.object);
             store.unref(scalar.rid);
         }
         store.release_batch(&mut batch);

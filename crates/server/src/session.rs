@@ -522,9 +522,7 @@ mod tests {
         let rids = db.idx_patient_mrn.lookup(db.store.stack_mut(), 0);
         assert_eq!(rids.len(), 1);
         let num = db.store.with_fetched(rids[0], |_store, g| {
-            g.object().values[patient_attr::NUM]
-                .as_int()
-                .expect("num is Int") as i64
+            g.int(patient_attr::NUM).expect("num is Int") as i64
         });
         db.store.end_of_query();
         num

@@ -26,6 +26,12 @@ cargo build --release --workspace
 echo "== tests (workspace) =="
 cargo test --workspace -q
 
+echo "== benchmark package (builds against the crates' API; smoke run + metric-name lock) =="
+# benchmark/ is a workspace of its own, so nothing above compiles it: an
+# objstore/query API change that breaks it would otherwise surface only
+# when the benchmark is next run.
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "== copy-on-write snapshot tests (release) =="
 cargo test --release -q -p tq-pagestore --test prop_cow
 cargo test --release -q -p tq-bench --test cow_sharing

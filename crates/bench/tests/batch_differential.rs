@@ -8,7 +8,12 @@
 //!
 //! The capture is a `Debug`-formatted string per cell, so "identical"
 //! means every field, every row, every bit of the simulated clock —
-//! not a tolerance.
+//! not a tolerance. The `TQ_BATCH=1` capture is also checked against
+//! `golden/batch_differential.fp`, rendered from the last commit that
+//! still carried separate one-object-at-a-time loop bodies (8267b58),
+//! so the matrix is pinned to a fixed answer and not only to itself.
+
+mod golden;
 
 use tq_bench::harness::{build_db, join_spec, operator_rows, run_join_cell, stat_record};
 use tq_query::exec::{set_default_batch_size, DEFAULT_BATCH_SIZE};
@@ -187,6 +192,7 @@ fn batched_and_scalar_paths_are_byte_identical() {
     let scalar = run_matrix();
     // 24 join cells + 2 hybrid + smj + 6 selections + 2 updates.
     assert_eq!(scalar.len(), 35, "the matrix must actually cover cells");
+    golden::assert_matches("batch_differential.fp", &scalar);
     for batch in [7, DEFAULT_BATCH_SIZE] {
         set_default_batch_size(batch);
         let batched = run_matrix();

@@ -4,9 +4,10 @@
 //! What must be byte-identical, and why (mirroring the sharded
 //! oracle's contract in `sharded_equivalence.rs`):
 //!
-//! * **Degree 1 is the serial path** — `run_join_parallel` at degree 1
-//!   short-circuits to `run_join_with`, so the *whole* `Stat` must be
-//!   byte-identical. There is no hidden fork to drift.
+//! * **Degree 1 is the serial path** — `run_join_with` *is*
+//!   `run_join_parallel` at degree 1 (the dispatcher runs the driving
+//!   list inline), so the *whole* `Stat` must be byte-identical. There
+//!   is no hidden fork to drift.
 //! * **Results and pairs at any degree** — morsels are contiguous and
 //!   their emits are flushed in morsel-index order, so the full pair
 //!   list (not just the count) reproduces the serial emission order.
@@ -25,6 +26,11 @@
 //! a private store clone — the in-process analogue of the router's
 //! per-shard caches — and the locality change is real simulated
 //! physics, the same reason the sharded oracle lets them diverge.
+//! They are deterministic, though, so the degree-2/4 `Stat`s are also
+//! checked whole against `golden/parallel_equivalence.fp`, rendered
+//! from the last commit with per-algorithm parallel drivers (8267b58).
+
+mod golden;
 
 use tq_bench::harness::{build_db, join_spec, run_join_cell, run_join_cell_parallel, stat_record};
 use tq_query::join::parallel::run_join_parallel;
@@ -162,6 +168,7 @@ fn degree_one_stat_is_byte_identical_to_serial() {
 
 #[test]
 fn stats_match_serial_in_invariant_fields_at_higher_degrees() {
+    let mut frozen = Vec::new();
     for org in ORGS {
         let base = master(org);
         for algo in JoinAlgo::all() {
@@ -169,6 +176,7 @@ fn stats_match_serial_in_invariant_fields_at_higher_degrees() {
             for degree in DEGREES {
                 let (results, stat) = stat_at_degree(&base, algo, degree);
                 let ctx = format!("{org:?}/{} degree {degree}", algo.label());
+                frozen.push((ctx.clone(), format!("{results} {stat:?}")));
                 assert_eq!(results, oresults, "{ctx}: results");
                 assert_eq!(stat.query, ostat.query, "{ctx}: query desc");
                 assert_eq!(stat.database, ostat.database, "{ctx}: extents");
@@ -201,6 +209,7 @@ fn stats_match_serial_in_invariant_fields_at_higher_degrees() {
             }
         }
     }
+    golden::assert_matches("parallel_equivalence.fp", &frozen);
 }
 
 fn open(conn: DuplexStream) -> (Client<DuplexStream>, u64) {

@@ -40,12 +40,13 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// startup from `TQ_BATCH` (binaries route through
 /// `tq_bench::env_config_or_exit`). Relaxed ordering suffices: worker
 /// threads are spawned after the knob is set, and any interleaving is
-/// counter-invisible anyway (batched and scalar execution are
-/// bitwise-identical by contract).
+/// counter-invisible anyway (execution is bitwise-identical at every
+/// batch size by contract).
 static DEFAULT_BATCH: AtomicUsize = AtomicUsize::new(DEFAULT_BATCH_SIZE);
 
-/// Sets the process-wide default batch size (clamped to ≥ 1; 1 is the
-/// legacy one-object-at-a-time path).
+/// Sets the process-wide default batch size (clamped to ≥ 1; at 1
+/// every gather is a single object — same code, one-at-a-time access
+/// sequence, which is what the differential oracles compare against).
 pub fn set_default_batch_size(n: usize) {
     DEFAULT_BATCH.store(n.max(1), Ordering::Relaxed);
 }
@@ -57,10 +58,9 @@ pub fn default_batch_size() -> usize {
 
 /// Process-wide intra-query parallel degree, set once at startup from
 /// `TQ_PARALLEL` (binaries route through `tq_bench::env_config_or_exit`).
-/// `1` — the default — is the exact serial path: the measurement layer
-/// short-circuits to the unpartitioned executor, so serial output stays
-/// byte-identical. `n > 1` partitions each join's driving access path
-/// into morsels executed on `n` scoped worker threads (see
+/// At `1` — the default — the morsel dispatcher runs each join's
+/// driving list inline on the query's own context; `n > 1` partitions
+/// it into morsels executed on `n` scoped worker threads (see
 /// [`crate::join::parallel`]).
 static DEFAULT_PARALLEL: AtomicUsize = AtomicUsize::new(1);
 
@@ -440,8 +440,7 @@ pub struct ExecContext<'a> {
     unattributed: OpCounters,
     cancel: Option<CancelToken>,
     start_nanos: u64,
-    /// Objects fetched per [`ExecContext::with_batch`] call; 1 is the
-    /// legacy one-at-a-time path.
+    /// Objects per gather and pairs per deferred `Emit` flush.
     batch_size: usize,
     /// Scratch arena, reused across every operator of the query.
     obj_batch: ObjBatch,
@@ -475,8 +474,8 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Overrides the batch size for this context (differential tests
-    /// pin scalar vs batched execution without touching the process
-    /// default). Clamped to ≥ 1.
+    /// pin a batch size without touching the process default). Clamped
+    /// to ≥ 1.
     pub fn set_batch_size(&mut self, n: usize) {
         self.batch_size = n.max(1);
     }
@@ -572,10 +571,9 @@ impl<'a> ExecContext<'a> {
 
     /// Like [`ExecContext::op`], but the node's parent is given
     /// explicitly instead of taken from the innermost open scope.
-    /// Batched pipelines use this to flush deferred `Emit`s *after*
-    /// their driving scope has closed while still merging into the
-    /// node the scalar path's nested scopes created — the flattened
-    /// trace is identical. `parent` must come from
+    /// Pipelines use this to flush deferred `Emit`s *after* the scope
+    /// that matched them has closed while still landing on the `Emit`
+    /// node under it. `parent` must come from
     /// [`ExecContext::current_node`] inside the intended scope.
     pub fn op_batch<R>(
         &mut self,
@@ -603,8 +601,18 @@ impl<'a> ExecContext<'a> {
         self.check_cancel();
         let delta = self.take_delta();
         self.credit(delta);
-        let id = self
-            .nodes
+        let id = self.node(parent, kind, label);
+        self.open.push(id);
+        let out = f(self);
+        let delta = self.take_delta();
+        self.open.pop();
+        self.nodes[id].counters.add(&delta);
+        out
+    }
+
+    /// The node for `(parent, kind, label)`, created on first use.
+    fn node(&mut self, parent: Option<usize>, kind: OpKind, label: &str) -> usize {
+        self.nodes
             .iter()
             .position(|n| n.parent == parent && n.kind == kind && n.label == label)
             .unwrap_or_else(|| {
@@ -615,13 +623,25 @@ impl<'a> ExecContext<'a> {
                     counters: OpCounters::default(),
                 });
                 self.nodes.len() - 1
-            });
-        self.open.push(id);
-        let out = f(self);
-        let delta = self.take_delta();
-        self.open.pop();
-        self.nodes[id].counters.add(&delta);
-        out
+            })
+    }
+
+    /// Adds a finished trace — a morsel worker's, run on a private
+    /// store clone — into this context's node tree as if its scopes
+    /// had been opened here: each row lands on the node with the same
+    /// `(parent, kind, label)`, created (after its existing siblings)
+    /// when this context never opened it. The worker's counters never
+    /// touched this context's store, so nothing is credited twice.
+    pub fn absorb(&mut self, trace: &ExecTrace) {
+        let base = self.current_node();
+        let mut path: Vec<usize> = Vec::new();
+        for row in &trace.ops {
+            path.truncate(row.depth as usize);
+            let parent = path.last().copied().or(base);
+            let id = self.node(parent, row.kind, &row.label);
+            self.nodes[id].counters.add(&row.counters);
+            path.push(id);
+        }
     }
 
     /// Fetches `rid` and runs `f` with the guarded object; the release
@@ -649,6 +669,38 @@ impl<'a> ExecContext<'a> {
         self.store.release_batch(&mut batch);
         self.obj_batch = batch;
         out
+    }
+
+    /// The one fetch loop body: fetches the objects `items` name, in
+    /// order, runs `row(ctx, item, canonical rid, record)` on each and
+    /// releases them. A chunk of one is a plain
+    /// [`ExecContext::with_object`]; a longer chunk is one
+    /// [`ExecContext::with_batch`] gather (so its rids must be
+    /// distinct). Counters are bitwise-identical either way, which
+    /// leaves the chunk length free to follow the *page-access
+    /// sequence*: an operator slices its list by
+    /// [`ExecContext::batch_size`] where the list was materialized
+    /// before any fetch, and by 1 where page reads or writes interleave
+    /// with the fetches (overflow sets, spilling partitions, repeating
+    /// rids) — that interleave is measured behaviour and must not move.
+    pub fn fetch_chunk<T>(
+        &mut self,
+        items: &[T],
+        rid_of: impl Fn(&T) -> Rid,
+        mut row: impl FnMut(&mut Self, &T, Rid, &Record),
+    ) {
+        if let [item] = items {
+            return self.with_object(rid_of(item), |ex, obj| row(ex, item, obj.rid(), obj));
+        }
+        let mut rids = self.take_rid_batch();
+        rids.extend(items.iter().map(rid_of));
+        self.with_batch(&rids, |ex, objs| {
+            for (i, item) in items.iter().enumerate() {
+                let (rid, record) = objs.get(i);
+                row(ex, item, rid, record);
+            }
+        });
+        self.put_rid_batch(rids);
     }
 
     /// Closes the trace. Anything charged outside every scope surfaces
@@ -955,9 +1007,11 @@ mod tests {
 
     #[test]
     fn batched_fetch_and_deferred_emit_trace_identically() {
-        // The batch protocol is an execution detail: one with_batch +
-        // one flushed Emit scope must produce the same trace as the
-        // per-tuple loop with a nested Emit per result.
+        // The chunk length is an execution detail: fetch_chunk + one
+        // flushed Emit scope per chunk must produce the same trace as
+        // the per-tuple loop with a nested Emit per result — at a
+        // chunk of one (with_object), an odd size with a ragged tail,
+        // and a size that divides nothing evenly either.
         let scalar = {
             let (mut store, rids) = small_store(40);
             let mut ctx = ExecContext::new(&mut store);
@@ -974,30 +1028,130 @@ mod tests {
             });
             ctx.finish()
         };
-        let batched = {
+        for chunk in [1, 7, 16] {
             let (mut store, rids) = small_store(40);
             let mut ctx = ExecContext::new(&mut store);
-            ctx.set_batch_size(16);
             ctx.op(OpKind::SeqScan, "Items", |ctx| {
-                let mut pending = 0u64;
-                for chunk in rids.chunks(16) {
-                    ctx.with_batch(chunk, |ctx, objs| {
-                        for i in 0..objs.len() {
-                            let _ = int_attr(objs.record(i), 0);
+                for part in rids.chunks(chunk) {
+                    let mut pending = 0u64;
+                    ctx.fetch_chunk(
+                        part,
+                        |&rid| rid,
+                        |ctx, &asked, rid, record| {
+                            assert_eq!(asked, rid, "no forwarders in this store");
+                            let _ = int_attr(record, 0);
                             ctx.store.charge(CpuEvent::Compare, 1);
                             pending += 1;
-                        }
-                    });
+                        },
+                    );
                     let emit_parent = ctx.current_node();
                     ctx.op_batch(emit_parent, OpKind::Emit, "result", |ctx| {
                         ctx.store.charge(CpuEvent::ResultAppendTransient, pending);
                     });
-                    pending = 0;
                 }
             });
-            ctx.finish()
+            assert_eq!(scalar, ctx.finish(), "chunk {chunk}");
+        }
+    }
+
+    fn row(kind: OpKind, label: &str, depth: u32, cpu: u64) -> OpRecord {
+        OpRecord {
+            kind,
+            label: label.into(),
+            depth,
+            counters: OpCounters {
+                cpu_events: cpu,
+                ..Default::default()
+            },
+        }
+    }
+
+    /// Runs `coordinator` on a fresh context, absorbs `workers` in
+    /// order, runs `suffix`, and returns the flattened
+    /// `(kind, label, depth, cpu_events)` rows.
+    fn absorbed(
+        coordinator: &[(OpKind, &str, u64)],
+        workers: Vec<Vec<OpRecord>>,
+        suffix: &[(OpKind, &str, u64)],
+    ) -> Vec<(OpKind, String, u32, u64)> {
+        let (mut store, _) = small_store(1);
+        let mut ctx = ExecContext::new(&mut store);
+        let charge = |ctx: &mut ExecContext<'_>, scopes: &[(OpKind, &str, u64)]| {
+            for &(kind, label, cpu) in scopes {
+                ctx.op(kind, label, |ctx| ctx.store.charge(CpuEvent::Compare, cpu));
+            }
         };
-        assert_eq!(scalar, batched);
+        charge(&mut ctx, coordinator);
+        for ops in workers {
+            ctx.absorb(&ExecTrace { ops });
+        }
+        charge(&mut ctx, suffix);
+        ctx.finish()
+            .ops
+            .into_iter()
+            .map(|r| (r.kind, r.label, r.depth, r.counters.cpu_events))
+            .collect()
+    }
+
+    #[test]
+    fn absorb_preserves_serial_shape_and_sums() {
+        // Coordinator prefix: the gather rows. Workers: probe rows (one
+        // with no emits). Suffix: a teardown re-entering an existing row.
+        let shape = absorbed(
+            &[
+                (OpKind::IndexRangeScan, "Providers", 1),
+                (OpKind::HashBuild, "Providers", 2),
+                (OpKind::IndexRangeScan, "Patients", 3),
+            ],
+            vec![
+                vec![
+                    row(OpKind::HashProbe, "Patients", 0, 10),
+                    row(OpKind::Emit, "result", 1, 20),
+                ],
+                vec![row(OpKind::HashProbe, "Patients", 0, 100)],
+            ],
+            &[(OpKind::HashBuild, "Providers", 1000)],
+        );
+        assert_eq!(
+            shape,
+            vec![
+                (OpKind::IndexRangeScan, "Providers".to_string(), 0, 1),
+                (OpKind::HashBuild, "Providers".to_string(), 0, 1002),
+                (OpKind::IndexRangeScan, "Patients".to_string(), 0, 3),
+                (OpKind::HashProbe, "Patients".to_string(), 0, 110),
+                (OpKind::Emit, "result".to_string(), 1, 20),
+            ]
+        );
+    }
+
+    #[test]
+    fn absorb_hangs_new_rows_under_the_shared_parent() {
+        // NL shape: every worker re-opens the IndexRangeScan row the
+        // coordinator drained, then hangs SetNav/Emit under it.
+        let shape = absorbed(
+            &[(OpKind::IndexRangeScan, "Providers", 1)],
+            vec![
+                vec![
+                    row(OpKind::IndexRangeScan, "Providers", 0, 2),
+                    row(OpKind::SetNav, "Patients", 1, 3),
+                ],
+                vec![
+                    row(OpKind::IndexRangeScan, "Providers", 0, 4),
+                    row(OpKind::SetNav, "Patients", 1, 5),
+                    row(OpKind::Emit, "result", 2, 6),
+                ],
+            ],
+            &[],
+        );
+        let shape: Vec<(OpKind, u64)> = shape.into_iter().map(|(k, _, _, c)| (k, c)).collect();
+        assert_eq!(
+            shape,
+            vec![
+                (OpKind::IndexRangeScan, 7),
+                (OpKind::SetNav, 8),
+                (OpKind::Emit, 6),
+            ]
+        );
     }
 
     #[test]

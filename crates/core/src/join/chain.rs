@@ -14,10 +14,13 @@
 //! The trace rows this produces are exactly
 //! [`chain_pipeline`](crate::plan::chain_pipeline)'s `(OpKind, label)`
 //! vocabulary, and — through the [`ExecContext`] attribution invariant
-//! — sum field for field to the query-level counters. Execution is
-//! scalar at any `TQ_BATCH` (the batched gather-fetch protocol is a
-//! 2-way figure concern), so chain output is identical at every batch
-//! size by construction.
+//! — sum field for field to the query-level counters. Stages fetch one
+//! object at a time at any `TQ_BATCH` and run on one context at any
+//! `TQ_PARALLEL`: the executor does not use `ExecContext::fetch_chunk`
+//! or the morsel dispatcher yet (moving it onto them changes the
+//! per-stage re-fetch sequence that `benchmark/expected/fig_chains.fp`
+//! pins), so chain output is identical at every batch size by
+//! construction.
 
 use super::rid_hash;
 use crate::exec::{charge_result_append, int_attr, CancelToken, ExecContext, ExecTrace, OpKind};

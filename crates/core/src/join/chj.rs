@@ -20,8 +20,9 @@
 //! Operator composition: `IndexRangeScan(children)` → `HashBuild`,
 //! then `IndexRangeScan(parents)` → `HashProbe` with `Emit` on hits.
 
+use super::parallel::{MorselPanic, Morsels};
 use super::{
-    emit, flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, CHJ_CHILD_ENTRY_BYTES,
+    flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, CHJ_CHILD_ENTRY_BYTES,
     CHJ_PARENT_SLOT_BYTES, HANDLE_ENTRY_EXTRA_BYTES,
 };
 use crate::exec::{index_range_scan, int_attr, ExecContext, OpKind};
@@ -33,7 +34,7 @@ use tq_objstore::{ClassId, Rid};
 use tq_pagestore::CpuEvent;
 
 /// Bytes per child entry under the given key mode.
-pub(super) fn child_entry_bytes(opts: &JoinOptions) -> u64 {
+fn child_entry_bytes(opts: &JoinOptions) -> u64 {
     CHJ_CHILD_ENTRY_BYTES
         + match opts.hash_key {
             HashKeyMode::Rid => 0,
@@ -41,10 +42,24 @@ pub(super) fn child_entry_bytes(opts: &JoinOptions) -> u64 {
         }
 }
 
-/// Directory + entry bytes for a table of `parents` slots holding
-/// `children` entries.
-pub(super) fn table_bytes(opts: &JoinOptions, parents: u64, children: u64) -> u64 {
-    CHJ_PARENT_SLOT_BYTES * parents + children * child_entry_bytes(opts)
+/// The table under construction: child keys filed under their parent's
+/// slot, and the memory it pages against. Parent slots are
+/// demand-allocated as children arrive (the paper's Figure 10 sizes
+/// the directory pessimistically by the full parent cardinality — an
+/// *approximation*; the executor only pays for parents that actually
+/// hold selected children).
+#[derive(Clone)]
+struct ChildTable {
+    slots: FxHashMap<Rid, Vec<i64>>,
+    children: u64,
+    swap: SwapSim,
+}
+
+impl ChildTable {
+    /// Directory + entry bytes at the current fill.
+    fn bytes(&self, opts: &JoinOptions) -> u64 {
+        CHJ_PARENT_SLOT_BYTES * self.slots.len() as u64 + self.children * child_entry_bytes(opts)
+    }
 }
 
 pub(super) fn run(
@@ -53,24 +68,19 @@ pub(super) fn run(
     child_index: &BTreeIndex,
     spec: &TreeJoinSpec,
     opts: &JoinOptions,
-    collect: bool,
-) -> JoinReport {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
+    morsels: &mut Morsels,
+    report: &mut JoinReport,
+) -> Result<(), MorselPanic> {
     let parent_class = ex.store.collection(&spec.parents).class;
-    let parents_total = ex.store.collection(&spec.parents).run.count;
     let budget = ex.store.stack().model().operator_memory_budget;
+    let mut table = ChildTable {
+        slots: FxHashMap::default(),
+        children: 0,
+        swap: SwapSim::new(0, budget),
+    };
 
-    // Build: parent slots are demand-allocated as children arrive
-    // (the paper's Figure 10 sizes the directory pessimistically by
-    // the full parent cardinality — an *approximation*; the executor
-    // only pays for parents that actually hold selected children).
-    let _ = parents_total;
-    let mut table: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();
-    let mut swap = SwapSim::new(0, budget);
-    let mut inserted_children = 0u64;
+    // Build: the children are the driving list. A worker files its
+    // morsel into its own (initially empty) copy of the table.
     let children = index_range_scan(
         ex,
         child_index,
@@ -78,19 +88,34 @@ pub(super) fn run(
         opts.sort_index_rids,
         &spec.children,
     );
-    build_children(
+    let partials = morsels.run(
         ex,
-        spec,
-        opts,
-        &children,
+        children.len(),
+        report,
         &mut table,
-        &mut swap,
-        &mut inserted_children,
-        &mut report,
-    );
-    report.hash_table_bytes = table_bytes(opts, table.len() as u64, inserted_children);
+        |ex, span, report, table| {
+            build_children(ex, spec, opts, &children[span], table, report);
+        },
+    )?;
+    // Partial tables come back in child-list order, so appending them
+    // slot by slot leaves every parent holding its child keys in
+    // exactly the one-context insertion order — the probe's emit
+    // sequence does not depend on the degree.
+    for partial in partials {
+        for (prid, keys) in partial.slots {
+            table.slots.entry(prid).or_default().extend(keys);
+        }
+        table.children += partial.children;
+        report.swap_faults += partial.swap.faults();
+    }
+    report.hash_table_bytes = table.bytes(opts);
+    // A table assembled from partials has never been resident: the
+    // probe starts from an empty residency of the final size (same
+    // page count as the one-context build leaves, which this no-ops on).
+    table.swap.grow_to(report.hash_table_bytes);
 
-    // Probe: scan selected parents sequentially.
+    // Probe: scan selected parents sequentially, on this context —
+    // parents are the small side; the build dominates at paper scale.
     let parents = index_range_scan(
         ex,
         parent_index,
@@ -98,47 +123,37 @@ pub(super) fn run(
         opts.sort_index_rids,
         &spec.parents,
     );
-    probe_parents(
-        ex,
-        spec,
-        parent_class,
-        &parents,
-        &table,
-        &mut swap,
-        &mut report,
-    );
-    report.swap_faults = swap.faults();
+    probe_parents(ex, spec, parent_class, &parents, &mut table, report);
+    report.swap_faults += table.swap.faults();
     if opts.hash_key == HashKeyMode::Handle {
-        free_table_handles(ex, spec, inserted_children);
+        // Tear the pinned table handles down (the table's cost).
+        ex.op(OpKind::HashBuild, &spec.children, |ex| {
+            ex.store.charge(CpuEvent::HandleFree, table.children);
+        });
     }
-    report
+    Ok(())
 }
 
-/// The build half: fetch each selected child and file its key under
-/// its parent's slot, growing and touching the swap simulation per
-/// entry. Opens the `HashBuild(children)` scope. Factored out of
-/// [`run`] so the morsel workers of [`super::parallel`] build partial
-/// tables over contiguous chunks of the child list with the identical
-/// charge sequence; concatenating the partial slot vectors in worker
-/// order reproduces the serial per-parent child order exactly.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn build_children(
+/// The build half: fetch each selected child (gathered list, a batch
+/// at a time) and file its key under its parent's slot, growing and
+/// touching the swap simulation per entry. Opens the
+/// `HashBuild(children)` scope.
+fn build_children(
     ex: &mut ExecContext<'_>,
     spec: &TreeJoinSpec,
     opts: &JoinOptions,
     children: &[(i64, Rid)],
-    table: &mut FxHashMap<Rid, Vec<i64>>,
-    swap: &mut SwapSim,
-    inserted_children: &mut u64,
+    table: &mut ChildTable,
     report: &mut JoinReport,
 ) {
     let child_class = ex.store.collection(&spec.children).class;
-    let child_entry_bytes = child_entry_bytes(opts);
     let batch = ex.batch_size();
     ex.op(OpKind::HashBuild, &spec.children, |ex| {
-        if batch <= 1 {
-            for &(child_key, crid) in children {
-                ex.with_object(crid, |ex, child| {
+        for part in children.chunks(batch) {
+            ex.fetch_chunk(
+                part,
+                |&(_, crid)| crid,
+                |ex, &(child_key, _), _, child| {
                     report.children_scanned += 1;
                     if child.is_deleted() {
                         return;
@@ -148,76 +163,41 @@ pub(super) fn build_children(
                     let prid = child
                         .ref_rid(spec.child_parent)
                         .expect("child parent reference");
-                    table.entry(prid).or_default().push(child_key);
-                    *inserted_children += 1;
+                    table.slots.entry(prid).or_default().push(child_key);
+                    table.children += 1;
                     ex.store.charge(CpuEvent::HashInsert, 1);
                     if opts.hash_key == HashKeyMode::Handle {
                         ex.store.charge(CpuEvent::HandleAlloc, 1);
                     }
-                    swap.grow_to(
-                        CHJ_PARENT_SLOT_BYTES * table.len() as u64
-                            + *inserted_children * child_entry_bytes,
-                    );
-                    if swap.touch(rid_hash(prid)) {
+                    table.swap.grow_to(table.bytes(opts));
+                    if table.swap.touch(rid_hash(prid)) {
                         ex.store.charge(CpuEvent::SwapFault, 1);
                     }
-                });
-            }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            for chunk in children.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for (i, &(child_key, _)) in chunk.iter().enumerate() {
-                        let child = objs.record(i);
-                        report.children_scanned += 1;
-                        if child.is_deleted() {
-                            continue;
-                        }
-                        ex.store.charge_attr_access(child_class, spec.child_parent);
-                        ex.store.charge_attr_access(child_class, spec.child_project);
-                        let prid = child
-                            .ref_rid(spec.child_parent)
-                            .expect("child parent reference");
-                        table.entry(prid).or_default().push(child_key);
-                        *inserted_children += 1;
-                        ex.store.charge(CpuEvent::HashInsert, 1);
-                        if opts.hash_key == HashKeyMode::Handle {
-                            ex.store.charge(CpuEvent::HandleAlloc, 1);
-                        }
-                        swap.grow_to(
-                            CHJ_PARENT_SLOT_BYTES * table.len() as u64
-                                + *inserted_children * child_entry_bytes,
-                        );
-                        if swap.touch(rid_hash(prid)) {
-                            ex.store.charge(CpuEvent::SwapFault, 1);
-                        }
-                    }
-                });
-            }
-            ex.put_rid_batch(rids);
+                },
+            );
         }
     });
 }
 
-/// The probe half: fetch each selected parent sequentially, look its
-/// slot up in the (read-only) table, and emit every filed child key.
-/// Opens the `HashProbe(parents)` scope.
-pub(super) fn probe_parents(
+/// The probe half: fetch each selected parent (gathered list, a batch
+/// at a time), look its slot up in the table, and emit every filed
+/// child key. Opens the `HashProbe(parents)` scope.
+fn probe_parents(
     ex: &mut ExecContext<'_>,
     spec: &TreeJoinSpec,
     parent_class: ClassId,
     parents: &[(i64, Rid)],
-    table: &FxHashMap<Rid, Vec<i64>>,
-    swap: &mut SwapSim,
+    table: &mut ChildTable,
     report: &mut JoinReport,
 ) {
     let batch = ex.batch_size();
     ex.op(OpKind::HashProbe, &spec.parents, |ex| {
-        if batch <= 1 {
-            for &(_pkey, prid) in parents {
-                ex.with_object(prid, |ex, parent| {
+        let mut pending = ex.take_val_batch();
+        for part in parents.chunks(batch) {
+            ex.fetch_chunk(
+                part,
+                |&(_, prid)| prid,
+                |ex, _, prid, parent| {
                     report.parents_scanned += 1;
                     if parent.is_deleted() {
                         return;
@@ -226,62 +206,21 @@ pub(super) fn probe_parents(
                         .charge_attr_access(parent_class, spec.parent_project);
                     let parent_key = int_attr(parent, spec.parent_key);
                     ex.store.charge(CpuEvent::HashProbe, 1);
-                    if swap.touch(rid_hash(parent.rid())) {
+                    if table.swap.touch(rid_hash(prid)) {
                         ex.store.charge(CpuEvent::SwapFault, 1);
                     }
-                    if let Some(child_keys) = table.get(&parent.rid()) {
-                        ex.op(OpKind::Emit, "result", |ex| {
-                            for &child_key in child_keys {
-                                emit(ex.store, spec, report, parent_key, child_key);
-                            }
-                        });
+                    if let Some(child_keys) = table.slots.get(&prid) {
+                        pending.extend(child_keys.iter().map(|&child_key| (parent_key, child_key)));
                     }
-                });
+                },
+            );
+            if pending.len() >= batch {
+                let at = ex.current_node();
+                flush_emits(ex, at, &mut pending, &[], spec, report);
             }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            let mut pending = ex.take_val_batch();
-            for chunk in parents.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for i in 0..objs.len() {
-                        let (prid, parent) = objs.get(i);
-                        report.parents_scanned += 1;
-                        if parent.is_deleted() {
-                            continue;
-                        }
-                        ex.store
-                            .charge_attr_access(parent_class, spec.parent_project);
-                        let parent_key = int_attr(parent, spec.parent_key);
-                        ex.store.charge(CpuEvent::HashProbe, 1);
-                        if swap.touch(rid_hash(prid)) {
-                            ex.store.charge(CpuEvent::SwapFault, 1);
-                        }
-                        if let Some(child_keys) = table.get(&prid) {
-                            for &child_key in child_keys {
-                                pending.push((parent_key, child_key));
-                            }
-                        }
-                    }
-                });
-                if pending.len() >= batch {
-                    let at = ex.current_node();
-                    flush_emits(ex, at, &mut pending, &[], spec, report);
-                }
-            }
-            let at = ex.current_node();
-            flush_emits(ex, at, &mut pending, &[], spec, report);
-            ex.put_rid_batch(rids);
-            ex.put_val_batch(pending);
         }
-    });
-}
-
-/// Tear the pinned table handles down — Handle key mode only.
-/// Re-enters the `HashBuild(children)` node.
-pub(super) fn free_table_handles(ex: &mut ExecContext<'_>, spec: &TreeJoinSpec, entries: u64) {
-    ex.op(OpKind::HashBuild, &spec.children, |ex| {
-        ex.store.charge(CpuEvent::HandleFree, entries);
+        let at = ex.current_node();
+        flush_emits(ex, at, &mut pending, &[], spec, report);
+        ex.put_val_batch(pending);
     });
 }

@@ -23,13 +23,13 @@
 
 use super::spill::{SpillRun, SpillWriter};
 use super::{
-    emit, flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, CHJ_CHILD_ENTRY_BYTES,
+    flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, CHJ_CHILD_ENTRY_BYTES,
     CHJ_PARENT_SLOT_BYTES, PHJ_ENTRY_BYTES,
 };
 use crate::exec::{index_range_scan, ExecContext, OpKind};
 use tq_fasthash::FxHashMap;
 use tq_index::BTreeIndex;
-use tq_objstore::{ObjectStore, Rid};
+use tq_objstore::{ObjectStore, Record, Rid};
 use tq_pagestore::CpuEvent;
 
 /// Which side the hash table is built on.
@@ -93,38 +93,68 @@ pub(super) fn run(
     spec: &TreeJoinSpec,
     opts: &JoinOptions,
     side: BuildSide,
-    collect: bool,
-) -> JoinReport {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
+    report: &mut JoinReport,
+) {
     let parent_class = ex.store.collection(&spec.parents).class;
     let child_class = ex.store.collection(&spec.children).class;
     let budget = ex.store.stack().model().operator_memory_budget;
-    let (build_label, probe_label) = match side {
-        BuildSide::Parents => (&spec.parents, &spec.children),
-        BuildSide::Children => (&spec.children, &spec.parents),
+    let (build_label, probe_label, probe_side) = match side {
+        BuildSide::Parents => (&spec.parents, &spec.children, BuildSide::Children),
+        BuildSide::Children => (&spec.children, &spec.parents, BuildSide::Parents),
+    };
+    let scan_parents = |ex: &mut ExecContext<'_>, label: &str| {
+        let (limit, sort) = (spec.parent_key_limit, opts.sort_index_rids);
+        index_range_scan(ex, parent_index, limit, sort, label)
+    };
+    let scan_children = |ex: &mut ExecContext<'_>, label: &str| {
+        let (limit, sort) = (spec.child_key_limit, opts.sort_index_rids);
+        index_range_scan(ex, child_index, limit, sort, label)
+    };
+    // Accounts for one fetched object of `fetched_side` — counted, then
+    // charged for the attributes that travel with it unless deleted —
+    // and names the parent rid it joins on (`None`: deleted).
+    let join_rid_of = |ex: &mut ExecContext<'_>,
+                       fetched_side: BuildSide,
+                       rid: Rid,
+                       fetched: &Record,
+                       report: &mut JoinReport| {
+        match fetched_side {
+            BuildSide::Parents => {
+                report.parents_scanned += 1;
+                if fetched.is_deleted() {
+                    return None;
+                }
+                ex.store
+                    .charge_attr_access(parent_class, spec.parent_project);
+                Some(rid)
+            }
+            BuildSide::Children => {
+                report.children_scanned += 1;
+                if fetched.is_deleted() {
+                    return None;
+                }
+                ex.store.charge_attr_access(child_class, spec.child_parent);
+                ex.store.charge_attr_access(child_class, spec.child_project);
+                Some(
+                    fetched
+                        .ref_rid(spec.child_parent)
+                        .expect("child parent reference"),
+                )
+            }
+        }
+    };
+    // A `(payload, key)` match as a `(parent_key, child_key)` pair.
+    let pair = |payload: i64, key: i64| match side {
+        BuildSide::Parents => (payload, key),
+        BuildSide::Children => (key, payload),
     };
 
     // --- Build phase -------------------------------------------------
     // Gather the build side's (key, rid) stream and size the partitions
     // from its exact cardinality.
     let build_pairs = match side {
-        BuildSide::Parents => index_range_scan(
-            ex,
-            parent_index,
-            spec.parent_key_limit,
-            opts.sort_index_rids,
-            build_label,
-        ),
-        BuildSide::Children => index_range_scan(
-            ex,
-            child_index,
-            spec.child_key_limit,
-            opts.sort_index_rids,
-            build_label,
-        ),
+        BuildSide::Parents => scan_parents(ex, build_label),
+        BuildSide::Children => scan_children(ex, build_label),
     };
     let table_bytes = match side {
         BuildSide::Parents => PHJ_ENTRY_BYTES * build_pairs.len() as u64,
@@ -136,283 +166,75 @@ pub(super) fn run(
     let partitions = partition_count(table_bytes, budget);
     report.partitions = partitions;
 
-    // The in-memory (partition 0) table: join-rid -> payload keys.
+    // Sequence identity: when partitions spill, any row may write a
+    // spill page between object fetches — that interleave of writes and
+    // reads is the algorithm's measured cache behaviour, so objects are
+    // fetched one at a time. Only a spill-free run (partition 0 holds
+    // everything) is a pure gather-then-fetch stream, on both sides.
     let batch = ex.batch_size();
+    let chunk = if partitions > 1 { 1 } else { batch };
+
+    // The in-memory (partition 0) table: join-rid -> payload keys.
     let mut mem: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();
     let mut spills = ex.op(OpKind::HashBuild, build_label, |ex| {
         let mut spills = make_spills(ex.store, partitions);
-        // Sequence identity: when partitions spill, every row may write
-        // a spill page between object fetches — that interleave of
-        // writes and reads is the algorithm's measured cache behaviour,
-        // so the fetch loop stays scalar. Only a spill-free build
-        // (partition 0 holds everything) is a pure gather-then-fetch
-        // stream that batching cannot perturb.
-        if batch <= 1 || partitions > 1 {
-            for &(key, rid) in &build_pairs {
-                // Fetch the build object (its projected attribute travels
-                // with the entry, as in the plain algorithms).
-                ex.with_object(rid, |ex, fetched| {
-                    if fetched.is_deleted() {
+        for part in build_pairs.chunks(chunk) {
+            // Fetch the build object (its projected attribute travels
+            // with the entry, as in the plain algorithms).
+            ex.fetch_chunk(
+                part,
+                |&(_, rid)| rid,
+                |ex, &(key, _), rid, fetched| {
+                    let Some(join_rid) = join_rid_of(ex, side, rid, fetched, report) else {
                         return;
+                    };
+                    let p = partition_of(join_rid, partitions);
+                    ex.store.charge(CpuEvent::HashInsert, 1);
+                    if p == 0 {
+                        mem.entry(join_rid).or_default().push(key);
+                    } else {
+                        spills.build[p as usize - 1].push(ex.store.stack_mut(), key, join_rid);
                     }
-                    match side {
-                        BuildSide::Parents => {
-                            report.parents_scanned += 1;
-                            ex.store
-                                .charge_attr_access(parent_class, spec.parent_project);
-                            let p = partition_of(fetched.rid(), partitions);
-                            ex.store.charge(CpuEvent::HashInsert, 1);
-                            if p == 0 {
-                                mem.entry(fetched.rid()).or_default().push(key);
-                            } else {
-                                spills.build[p as usize - 1].push(
-                                    ex.store.stack_mut(),
-                                    key,
-                                    fetched.rid(),
-                                );
-                            }
-                        }
-                        BuildSide::Children => {
-                            report.children_scanned += 1;
-                            ex.store.charge_attr_access(child_class, spec.child_parent);
-                            ex.store.charge_attr_access(child_class, spec.child_project);
-                            let prid = fetched
-                                .ref_rid(spec.child_parent)
-                                .expect("child parent reference");
-                            let p = partition_of(prid, partitions);
-                            ex.store.charge(CpuEvent::HashInsert, 1);
-                            if p == 0 {
-                                mem.entry(prid).or_default().push(key);
-                            } else {
-                                spills.build[p as usize - 1].push(ex.store.stack_mut(), key, prid);
-                            }
-                        }
-                    }
-                });
-            }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            for chunk in build_pairs.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for (i, &(key, _)) in chunk.iter().enumerate() {
-                        let (rid, fetched) = objs.get(i);
-                        if fetched.is_deleted() {
-                            continue;
-                        }
-                        match side {
-                            BuildSide::Parents => {
-                                report.parents_scanned += 1;
-                                ex.store
-                                    .charge_attr_access(parent_class, spec.parent_project);
-                                let p = partition_of(rid, partitions);
-                                ex.store.charge(CpuEvent::HashInsert, 1);
-                                if p == 0 {
-                                    mem.entry(rid).or_default().push(key);
-                                } else {
-                                    spills.build[p as usize - 1].push(
-                                        ex.store.stack_mut(),
-                                        key,
-                                        rid,
-                                    );
-                                }
-                            }
-                            BuildSide::Children => {
-                                report.children_scanned += 1;
-                                ex.store.charge_attr_access(child_class, spec.child_parent);
-                                ex.store.charge_attr_access(child_class, spec.child_project);
-                                let prid = fetched
-                                    .ref_rid(spec.child_parent)
-                                    .expect("child parent reference");
-                                let p = partition_of(prid, partitions);
-                                ex.store.charge(CpuEvent::HashInsert, 1);
-                                if p == 0 {
-                                    mem.entry(prid).or_default().push(key);
-                                } else {
-                                    spills.build[p as usize - 1].push(
-                                        ex.store.stack_mut(),
-                                        key,
-                                        prid,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            ex.put_rid_batch(rids);
+                },
+            );
         }
         spills
     });
 
     // --- Probe phase (streaming) --------------------------------------
     let probe_pairs = match side {
-        BuildSide::Parents => index_range_scan(
-            ex,
-            child_index,
-            spec.child_key_limit,
-            opts.sort_index_rids,
-            probe_label,
-        ),
-        BuildSide::Children => index_range_scan(
-            ex,
-            parent_index,
-            spec.parent_key_limit,
-            opts.sort_index_rids,
-            probe_label,
-        ),
+        BuildSide::Parents => scan_children(ex, probe_label),
+        BuildSide::Children => scan_parents(ex, probe_label),
     };
     ex.op(OpKind::HashProbe, probe_label, |ex| {
-        if batch > 1 && partitions > 1 {
-            // Spilling probe: rows interleave spill-page writes with
-            // object fetches, so the fetch loop stays in scalar order
-            // (same doctrine as the build). The emits are page-pure —
-            // deferring them through `flush_emits` is the only batching
-            // this phase admits.
-            let mut pending = ex.take_val_batch();
-            for &(key, rid) in &probe_pairs {
-                ex.with_object(rid, |ex, fetched| {
-                    if fetched.is_deleted() {
+        let mut pending = ex.take_val_batch();
+        for part in probe_pairs.chunks(chunk) {
+            ex.fetch_chunk(
+                part,
+                |&(_, rid)| rid,
+                |ex, &(key, _), rid, fetched| {
+                    let Some(join_rid) = join_rid_of(ex, probe_side, rid, fetched, report) else {
                         return;
-                    }
-                    let join_rid = match side {
-                        BuildSide::Parents => {
-                            report.children_scanned += 1;
-                            ex.store.charge_attr_access(child_class, spec.child_parent);
-                            ex.store.charge_attr_access(child_class, spec.child_project);
-                            fetched
-                                .ref_rid(spec.child_parent)
-                                .expect("child parent reference")
-                        }
-                        BuildSide::Children => {
-                            report.parents_scanned += 1;
-                            ex.store
-                                .charge_attr_access(parent_class, spec.parent_project);
-                            fetched.rid()
-                        }
                     };
                     let p = partition_of(join_rid, partitions);
                     if p == 0 {
                         ex.store.charge(CpuEvent::HashProbe, 1);
                         if let Some(payloads) = mem.get(&join_rid) {
-                            for &payload in payloads.iter() {
-                                match side {
-                                    BuildSide::Parents => pending.push((payload, key)),
-                                    BuildSide::Children => pending.push((key, payload)),
-                                }
-                            }
+                            pending.extend(payloads.iter().map(|&payload| pair(payload, key)));
                         }
                     } else {
                         spills.probe[p as usize - 1].push(ex.store.stack_mut(), key, join_rid);
                     }
-                });
-                if pending.len() >= batch {
-                    let at = ex.current_node();
-                    flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-                }
+                },
+            );
+            if pending.len() >= batch {
+                let at = ex.current_node();
+                flush_emits(ex, at, &mut pending, &[], spec, report);
             }
-            let at = ex.current_node();
-            flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-            ex.put_val_batch(pending);
-        } else if batch <= 1 {
-            for &(key, rid) in &probe_pairs {
-                ex.with_object(rid, |ex, fetched| {
-                    if fetched.is_deleted() {
-                        return;
-                    }
-                    let join_rid = match side {
-                        BuildSide::Parents => {
-                            report.children_scanned += 1;
-                            ex.store.charge_attr_access(child_class, spec.child_parent);
-                            ex.store.charge_attr_access(child_class, spec.child_project);
-                            fetched
-                                .ref_rid(spec.child_parent)
-                                .expect("child parent reference")
-                        }
-                        BuildSide::Children => {
-                            report.parents_scanned += 1;
-                            ex.store
-                                .charge_attr_access(parent_class, spec.parent_project);
-                            fetched.rid()
-                        }
-                    };
-                    let p = partition_of(join_rid, partitions);
-                    if p == 0 {
-                        ex.store.charge(CpuEvent::HashProbe, 1);
-                        if let Some(payloads) = mem.get(&join_rid) {
-                            ex.op(OpKind::Emit, "result", |ex| {
-                                for &payload in payloads.iter() {
-                                    match side {
-                                        BuildSide::Parents => {
-                                            emit(ex.store, spec, &mut report, payload, key)
-                                        }
-                                        BuildSide::Children => {
-                                            emit(ex.store, spec, &mut report, key, payload)
-                                        }
-                                    }
-                                }
-                            });
-                        }
-                    } else {
-                        spills.probe[p as usize - 1].push(ex.store.stack_mut(), key, join_rid);
-                    }
-                });
-            }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            let mut pending = ex.take_val_batch();
-            for chunk in probe_pairs.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for (i, &(key, _)) in chunk.iter().enumerate() {
-                        let (rid, fetched) = objs.get(i);
-                        if fetched.is_deleted() {
-                            continue;
-                        }
-                        let join_rid = match side {
-                            BuildSide::Parents => {
-                                report.children_scanned += 1;
-                                ex.store.charge_attr_access(child_class, spec.child_parent);
-                                ex.store.charge_attr_access(child_class, spec.child_project);
-                                fetched
-                                    .ref_rid(spec.child_parent)
-                                    .expect("child parent reference")
-                            }
-                            BuildSide::Children => {
-                                report.parents_scanned += 1;
-                                ex.store
-                                    .charge_attr_access(parent_class, spec.parent_project);
-                                rid
-                            }
-                        };
-                        let p = partition_of(join_rid, partitions);
-                        if p == 0 {
-                            ex.store.charge(CpuEvent::HashProbe, 1);
-                            if let Some(payloads) = mem.get(&join_rid) {
-                                for &payload in payloads.iter() {
-                                    match side {
-                                        BuildSide::Parents => pending.push((payload, key)),
-                                        BuildSide::Children => pending.push((key, payload)),
-                                    }
-                                }
-                            }
-                        } else {
-                            spills.probe[p as usize - 1].push(ex.store.stack_mut(), key, join_rid);
-                        }
-                    }
-                });
-                if pending.len() >= batch {
-                    let at = ex.current_node();
-                    flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-                }
-            }
-            let at = ex.current_node();
-            flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-            ex.put_rid_batch(rids);
-            ex.put_val_batch(pending);
         }
+        let at = ex.current_node();
+        flush_emits(ex, at, &mut pending, &[], spec, report);
+        ex.put_val_batch(pending);
     });
     report.hash_table_bytes = table_bytes.min(budget);
     drop(mem);
@@ -442,45 +264,20 @@ pub(super) fn run(
             }
         });
         ex.op(OpKind::HashProbe, "spill", |ex| {
-            if batch <= 1 {
-                for (key, join_rid) in probe_run.read_all(ex.store.stack_mut()) {
-                    ex.store.charge(CpuEvent::HashProbe, 1);
-                    if let Some(payloads) = table.get(&join_rid) {
-                        ex.op(OpKind::Emit, "result", |ex| {
-                            for &payload in payloads.iter() {
-                                match side {
-                                    BuildSide::Parents => {
-                                        emit(ex.store, spec, &mut report, payload, key)
-                                    }
-                                    BuildSide::Children => {
-                                        emit(ex.store, spec, &mut report, key, payload)
-                                    }
-                                }
-                            }
-                        });
-                    }
+            let mut pending = ex.take_val_batch();
+            for (key, join_rid) in probe_run.read_all(ex.store.stack_mut()) {
+                ex.store.charge(CpuEvent::HashProbe, 1);
+                if let Some(payloads) = table.get(&join_rid) {
+                    pending.extend(payloads.iter().map(|&payload| pair(payload, key)));
                 }
-            } else {
-                let mut pending = ex.take_val_batch();
-                for (key, join_rid) in probe_run.read_all(ex.store.stack_mut()) {
-                    ex.store.charge(CpuEvent::HashProbe, 1);
-                    if let Some(payloads) = table.get(&join_rid) {
-                        for &payload in payloads.iter() {
-                            match side {
-                                BuildSide::Parents => pending.push((payload, key)),
-                                BuildSide::Children => pending.push((key, payload)),
-                            }
-                        }
-                    }
-                    if pending.len() >= batch {
-                        let at = ex.current_node();
-                        flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-                    }
+                if pending.len() >= batch {
+                    let at = ex.current_node();
+                    flush_emits(ex, at, &mut pending, &[], spec, report);
                 }
-                let at = ex.current_node();
-                flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-                ex.put_val_batch(pending);
             }
+            let at = ex.current_node();
+            flush_emits(ex, at, &mut pending, &[], spec, report);
+            ex.put_val_batch(pending);
         });
     }
 
@@ -490,5 +287,4 @@ pub(super) fn run(
             ex.store.stack_mut().truncate_file(f);
         }
     });
-    report
 }

@@ -38,11 +38,10 @@ pub mod spill;
 
 pub use chain::{run_chain, ChainReport};
 
-use crate::exec::{CancelToken, ExecContext, ExecTrace, OpKind, ValueBatch};
-use crate::spec::{HashKeyMode, JoinAlgo, ResultMode, TreeJoinSpec};
+use crate::exec::{charge_result_append, CancelToken, ExecContext, ExecTrace, OpKind, ValueBatch};
+use crate::spec::{HashKeyMode, JoinAlgo, TreeJoinSpec};
 use tq_index::BTreeIndex;
 use tq_objstore::{AttrId, ClassId, ObjectStore, Rid};
-use tq_pagestore::CpuEvent;
 
 /// Bytes per PHJ hash-table entry: `(providerid, provider information)`
 /// — calibrated so table sizes reproduce the paper's Figure 10 exactly.
@@ -120,7 +119,7 @@ pub struct JoinContext<'a> {
     pub child_index: &'a BTreeIndex,
 }
 
-/// Dispatches to the chosen algorithm. Every algorithm runs through an
+/// Runs the chosen algorithm. Every algorithm runs through an
 /// [`ExecContext`] built over the store: object accesses are
 /// guard-paired (no manual `fetch`/`release`) and every counter delta
 /// lands in the [`JoinReport::trace`] operator breakdown.
@@ -140,6 +139,9 @@ pub fn run_join(
 /// (catch it with `std::panic::catch_unwind`; the store is then in an
 /// undefined cache/handle state and must be discarded). With `None`
 /// this is exactly `run_join` — no check, no charge, no drift.
+///
+/// This is [`parallel::run_join_parallel`] at degree 1: the same
+/// algorithm code, its morsels run inline on the one context.
 pub fn run_join_with(
     algo: JoinAlgo,
     ctx: &mut JoinContext<'_>,
@@ -148,50 +150,10 @@ pub fn run_join_with(
     collect: bool,
     cancel: Option<CancelToken>,
 ) -> JoinReport {
-    let mut ex = ExecContext::new(ctx.store);
-    if let Some(token) = cancel {
-        ex.set_cancel(token);
+    match parallel::run_join_parallel(algo, ctx, spec, opts, collect, cancel, 1) {
+        Ok(run) => run.report,
+        Err(p) => unreachable!("degree 1 spawns no workers, yet: {p}"),
     }
-    let mut report = match algo {
-        JoinAlgo::Nl => nl::run(&mut ex, ctx.parent_index, spec, collect),
-        JoinAlgo::Nojoin => nojoin::run(&mut ex, ctx.child_index, spec, opts, collect),
-        JoinAlgo::Phj if opts.hybrid_hashing => hybrid::run(
-            &mut ex,
-            ctx.parent_index,
-            ctx.child_index,
-            spec,
-            opts,
-            hybrid::BuildSide::Parents,
-            collect,
-        ),
-        JoinAlgo::Chj if opts.hybrid_hashing => hybrid::run(
-            &mut ex,
-            ctx.parent_index,
-            ctx.child_index,
-            spec,
-            opts,
-            hybrid::BuildSide::Children,
-            collect,
-        ),
-        JoinAlgo::Phj => phj::run(
-            &mut ex,
-            ctx.parent_index,
-            ctx.child_index,
-            spec,
-            opts,
-            collect,
-        ),
-        JoinAlgo::Chj => chj::run(
-            &mut ex,
-            ctx.parent_index,
-            ctx.child_index,
-            spec,
-            opts,
-            collect,
-        ),
-    };
-    report.trace = ex.finish();
-    report
 }
 
 /// The paper's Figure 10 hash-table size *approximation*, in bytes.
@@ -227,35 +189,12 @@ pub(crate) fn rid_hash(rid: Rid) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Charges one result append per `spec.result_mode` and records the
-/// pair when collecting.
-pub(crate) fn emit(
-    store: &mut ObjectStore,
-    spec: &TreeJoinSpec,
-    report: &mut JoinReport,
-    parent_key: i64,
-    child_key: i64,
-) {
-    store.charge(
-        match spec.result_mode {
-            ResultMode::Persistent => CpuEvent::ResultAppendPersistent,
-            ResultMode::Transient => CpuEvent::ResultAppendTransient,
-        },
-        1,
-    );
-    report.results += 1;
-    if let Some(pairs) = &mut report.pairs {
-        pairs.push((parent_key, child_key));
-    }
-}
-
 /// Flushes a batch of deferred result emissions under one `Emit` scope
-/// rooted at `emit_parent` (the node the scalar path's per-match nested
-/// scopes merge into — capture it with
-/// [`ExecContext::current_node`] inside that scope). Per pair, replays
-/// exactly the scalar `Emit` body: `attr_charges` attribute accesses,
-/// then the result append. No-op on an empty batch, so no spurious
-/// `Emit` node appears for joins that matched nothing.
+/// rooted at `emit_parent` (the operator that matched the pairs —
+/// capture it with [`ExecContext::current_node`] inside that scope).
+/// Per pair: `attr_charges` attribute accesses, then the result append.
+/// No-op on an empty batch, so no spurious `Emit` node appears for
+/// joins that matched nothing.
 pub(crate) fn flush_emits(
     ex: &mut ExecContext<'_>,
     emit_parent: Option<usize>,
@@ -268,13 +207,17 @@ pub(crate) fn flush_emits(
         return;
     }
     ex.op_batch(emit_parent, OpKind::Emit, "result", |ex| {
-        for &(parent_key, child_key) in pending.iter() {
+        for _ in 0..pending.len() {
             for &(class, attr) in attr_charges {
                 ex.store.charge_attr_access(class, attr);
             }
-            emit(ex.store, spec, report, parent_key, child_key);
+            charge_result_append(ex.store, spec.result_mode);
         }
     });
+    report.results += pending.len() as u64;
+    if let Some(pairs) = &mut report.pairs {
+        pairs.extend_from_slice(pending);
+    }
     pending.clear();
 }
 

@@ -16,7 +16,8 @@
 //! Operator composition: `IndexRangeScan(children)` driving a
 //! `BackRefNav(parents)` per child, with `Emit` on qualifying pairs.
 
-use super::{emit, flush_emits, JoinOptions, JoinReport, TreeJoinSpec};
+use super::parallel::{MorselPanic, Morsels};
+use super::{flush_emits, JoinOptions, JoinReport, TreeJoinSpec};
 use crate::exec::{index_range_scan, int_attr, ExecContext, OpKind};
 use tq_index::BTreeIndex;
 use tq_objstore::{ClassId, Rid};
@@ -27,12 +28,9 @@ pub(super) fn run(
     child_index: &BTreeIndex,
     spec: &TreeJoinSpec,
     opts: &JoinOptions,
-    collect: bool,
-) -> JoinReport {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
+    morsels: &mut Morsels,
+    report: &mut JoinReport,
+) -> Result<(), MorselPanic> {
     let parent_class = ex.store.collection(&spec.parents).class;
     let child_class = ex.store.collection(&spec.children).class;
     let children = index_range_scan(
@@ -42,23 +40,29 @@ pub(super) fn run(
         opts.sort_index_rids,
         &spec.children,
     );
-    scan_children(ex, spec, parent_class, child_class, &children, &mut report);
-    report
+    morsels.run(
+        ex,
+        children.len(),
+        report,
+        &mut (),
+        |ex, span, report, _| {
+            let children = &children[span];
+            scan_children(ex, spec, parent_class, child_class, children, report);
+        },
+    )?;
+    Ok(())
 }
 
 /// The fetch half of the child scan: navigate each `(child_key, crid)`
 /// to its parent, test, and emit. Reopens the gather's
 /// `IndexRangeScan(children)` node (same kind/label/parent), so the
-/// per-operator row covers gather + fetch exactly as before the split.
-/// Factored out of [`run`] so the morsel workers of
-/// [`super::parallel`] run the identical charge sequence over a
-/// contiguous chunk of the drained child list.
+/// per-operator row covers gather + fetch.
 ///
 /// Child and parent fetches interleave (and a hot parent's rid
 /// repeats, fan-out times) — that interleave IS the algorithm's
-/// cache behaviour, so the fetches stay one-at-a-time at any batch
-/// size; only the Emit scopes are deferred and flushed in batches.
-pub(super) fn scan_children(
+/// cache behaviour, so both are fetched one at a time at any batch
+/// size; only the results are batched.
+fn scan_children(
     ex: &mut ExecContext<'_>,
     spec: &TreeJoinSpec,
     parent_class: ClassId,
@@ -68,78 +72,44 @@ pub(super) fn scan_children(
 ) {
     let batch = ex.batch_size();
     ex.op(OpKind::IndexRangeScan, &spec.children, |ex| {
-        if batch <= 1 {
-            for &(child_key, crid) in children {
-                ex.with_object(crid, |ex, child| {
-                    report.children_scanned += 1;
-                    if child.is_deleted() {
-                        return;
-                    }
-                    ex.op(OpKind::BackRefNav, &spec.parents, |ex| {
-                        ex.store.charge_attr_access(child_class, spec.child_parent);
-                        let prid = child
-                            .ref_rid(spec.child_parent)
-                            .expect("child parent reference");
-                        ex.with_object(prid, |ex, parent| {
-                            report.parents_scanned += 1;
-                            if parent.is_deleted() {
-                                return;
-                            }
-                            ex.store.charge_attr_access(parent_class, spec.parent_key);
-                            ex.store.charge(CpuEvent::Compare, 1);
-                            let parent_key = int_attr(parent, spec.parent_key);
-                            if parent_key < spec.parent_key_limit {
-                                ex.op(OpKind::Emit, "result", |ex| {
-                                    ex.store
-                                        .charge_attr_access(parent_class, spec.parent_project);
-                                    ex.store.charge_attr_access(child_class, spec.child_project);
-                                    emit(ex.store, spec, report, parent_key, child_key);
-                                });
-                            }
-                        });
-                    });
-                });
-            }
-        } else {
-            let emit_charges = [
-                (parent_class, spec.parent_project),
-                (child_class, spec.child_project),
-            ];
-            let mut pending = ex.take_val_batch();
-            let mut nav_node = None;
-            for &(child_key, crid) in children {
-                ex.with_object(crid, |ex, child| {
-                    report.children_scanned += 1;
-                    if child.is_deleted() {
-                        return;
-                    }
-                    ex.op(OpKind::BackRefNav, &spec.parents, |ex| {
-                        nav_node = ex.current_node();
-                        ex.store.charge_attr_access(child_class, spec.child_parent);
-                        let prid = child
-                            .ref_rid(spec.child_parent)
-                            .expect("child parent reference");
-                        ex.with_object(prid, |ex, parent| {
-                            report.parents_scanned += 1;
-                            if parent.is_deleted() {
-                                return;
-                            }
-                            ex.store.charge_attr_access(parent_class, spec.parent_key);
-                            ex.store.charge(CpuEvent::Compare, 1);
-                            let parent_key = int_attr(parent, spec.parent_key);
-                            if parent_key < spec.parent_key_limit {
-                                pending.push((parent_key, child_key));
-                            }
-                        });
-                        if pending.len() >= batch {
-                            let at = ex.current_node();
-                            flush_emits(ex, at, &mut pending, &emit_charges, spec, report);
+        let emit_charges = [
+            (parent_class, spec.parent_project),
+            (child_class, spec.child_project),
+        ];
+        let mut pending = ex.take_val_batch();
+        let mut nav_node = None;
+        for &(child_key, crid) in children {
+            ex.with_object(crid, |ex, child| {
+                report.children_scanned += 1;
+                if child.is_deleted() {
+                    return;
+                }
+                ex.op(OpKind::BackRefNav, &spec.parents, |ex| {
+                    nav_node = ex.current_node();
+                    ex.store.charge_attr_access(child_class, spec.child_parent);
+                    let prid = child
+                        .ref_rid(spec.child_parent)
+                        .expect("child parent reference");
+                    ex.with_object(prid, |ex, parent| {
+                        report.parents_scanned += 1;
+                        if parent.is_deleted() {
+                            return;
+                        }
+                        ex.store.charge_attr_access(parent_class, spec.parent_key);
+                        ex.store.charge(CpuEvent::Compare, 1);
+                        let parent_key = int_attr(parent, spec.parent_key);
+                        if parent_key < spec.parent_key_limit {
+                            pending.push((parent_key, child_key));
                         }
                     });
+                    if pending.len() >= batch {
+                        let at = ex.current_node();
+                        flush_emits(ex, at, &mut pending, &emit_charges, spec, report);
+                    }
                 });
-            }
-            flush_emits(ex, nav_node, &mut pending, &emit_charges, spec, report);
-            ex.put_val_batch(pending);
+            });
         }
+        flush_emits(ex, nav_node, &mut pending, &emit_charges, spec, report);
+        ex.put_val_batch(pending);
     });
 }

@@ -1,65 +1,55 @@
 //! Morsel-driven intra-query parallelism (ROADMAP: "as fast as the
 //! hardware allows").
 //!
-//! One query, all cores: the query's *driving* access path — the
-//! drained `(key, rid)` list of its outer index scan — is partitioned
-//! into **morsels**, contiguous batch-aligned runs, and executed on a
-//! std-only [`std::thread::scope`] worker pool. Each morsel worker
-//! owns:
+//! One query, all cores: a join hands its *driving* list — the drained
+//! `(key, rid)` list of its outer index scan — to the one dispatcher
+//! here, [`Morsels::run`], together with the loop body to run over it.
+//! At degree 1 the body runs inline, over the whole list, on the
+//! query's own [`ExecContext`]: no clone, no thread, the serial charge
+//! sequence. At degree > 1 the list is partitioned into **morsels**,
+//! contiguous batch-aligned runs, executed on a std-only
+//! [`std::thread::scope`] worker pool. Each morsel worker owns:
 //!
-//! * a private [`ObjectStore`] clone — carrying the coordinator's warm
-//!   cache at spawn time and evolving independently, which is exactly
-//!   the per-shard private-cache discipline of the scatter-gather
-//!   router, now in-process (aggregate cache capacity therefore scales
-//!   with the degree; cache-hit counters are *not* topology-invariant
-//!   and the differential oracle does not pin them);
-//! * a private [`ExecContext`] whose partial trace is merged row-wise
-//!   (same `(kind, label, depth)` rows sum field-for-field, exactly
-//!   the `merge_stats` arithmetic) into one serial-shaped trace;
-//! * the query's [`CancelToken`], rebased to the query's start so a
+//! * a private [`ObjectStore`](tq_objstore::ObjectStore) clone —
+//!   carrying the coordinator's warm cache at spawn time and evolving
+//!   independently, which is exactly the per-shard private-cache
+//!   discipline of the scatter-gather router, now in-process
+//!   (aggregate cache capacity therefore scales with the degree;
+//!   cache-hit counters are *not* topology-invariant and the
+//!   differential oracle does not pin them);
+//! * a private [`ExecContext`] whose finished trace the coordinator
+//!   [absorbs](ExecContext::absorb) into its own node tree by
+//!   `(parent, kind, label)` — the `merge_stats` arithmetic at operator
+//!   granularity — so the query still ends in one serial-shaped trace;
+//! * a clone of the body's mutable state (a hash join's swap
+//!   simulation, CHJ's partial table), handed back in morsel order;
+//! * the query's [`CancelToken`], measured from the query's start so a
 //!   deadline fires against total simulated time; a worker that
 //!   unwinds with [`Cancelled`] trips the shared token so its siblings
 //!   stop at their next operator boundary.
 //!
-//! Per-algorithm split (each worker replays the *identical* per-item
-//! charge sequence via the loop bodies shared with the serial path):
-//!
-//! * **NL** — coordinator drains the parent index range; workers run
-//!   [`nl::scan_parents`] over parent chunks.
-//! * **NOJOIN** — coordinator gathers (and rid-sorts) the child scan;
-//!   workers run [`nojoin::scan_children`] over child chunks.
-//! * **PHJ** — coordinator builds the shared parent table serially;
-//!   workers probe child chunks against it ([`phj::probe_children`]),
-//!   each against a private clone of the post-build swap simulation.
-//! * **CHJ** — workers build partial child tables over child chunks
-//!   ([`chj::build_children`]); the coordinator concatenates the
-//!   per-parent slot vectors in worker order (reproducing the serial
-//!   child order exactly) and probes serially.
+//! Which list each algorithm drives with is its own business (see
+//! `nl`, `nojoin`, `phj`, `chj`); nothing here names an algorithm
+//! beyond the dispatch in [`run_join_parallel`].
 //!
 //! What is deterministic at every degree, and byte-identical to the
-//! serial run: result counts and pairs (morsel-order flush), per-row
+//! serial run: result counts and pairs (morsel-order fold), per-row
 //! `handle_gets` (object fetches partition exactly), Emit rows
 //! (per-pair charges are cache-independent), and the attribution
 //! invariant (rows sum to the merged totals). What diverges, bounded
 //! and documented: cache hit/miss splits and swap-fault counts, for
 //! the same reason the sharded oracle lets them diverge — private
 //! caches see different access interleaves.
-//!
-//! Degree 1 never takes this path at all: [`run_join_parallel`]
-//! short-circuits to [`run_join_with`], so serial output is
-//! byte-identical by construction (the golden-stdout matrix enforces
-//! it).
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use super::{chj, nl, nojoin, phj, run_join_with, JoinContext, JoinOptions, JoinReport};
-use crate::exec::{CancelToken, Cancelled, ExecContext, ExecTrace, OpCounters, OpKind, OpRecord};
-use crate::spec::{HashKeyMode, JoinAlgo, TreeJoinSpec};
-use crate::swap::SwapSim;
-use tq_fasthash::FxHashMap;
-use tq_objstore::{ObjectStore, Rid};
+use super::hybrid::{self, BuildSide};
+use super::{chj, nl, nojoin, phj, JoinContext, JoinOptions, JoinReport};
+use crate::exec::{CancelToken, Cancelled, ExecContext, OpCounters};
+use crate::spec::{JoinAlgo, TreeJoinSpec};
 use tq_pagestore::IoStats;
 
 /// A morsel worker panicked with a non-[`Cancelled`] payload. The
@@ -150,8 +140,8 @@ pub fn morsel_spans(n: usize, batch: usize, degree: usize) -> Vec<(usize, usize)
 }
 
 /// One worker's completed morsel.
-struct Morsel<T> {
-    /// Partial report (counts, pairs, swap-fault delta, trace).
+struct Morsel<S> {
+    /// Partial report (counts, pairs, trace).
     report: JoinReport,
     /// I/O counter delta on the worker's store clone.
     io: IoStats,
@@ -160,118 +150,165 @@ struct Morsel<T> {
     /// The worker's end-of-query drain (deferred handle-frees), run on
     /// its clone inside the measured window.
     teardown: OpCounters,
-    /// Algorithm-specific payload (CHJ's partial table).
-    extra: T,
+    /// The worker's copy of the body's state, as the body left it.
+    state: S,
 }
 
-/// Runs one scoped worker per span, each on a private clone of `base`.
-/// Joins every worker before returning. A worker that unwinds with
-/// [`Cancelled`] trips the shared token (stopping siblings at their
-/// next boundary) and re-raises after the join; any other panic is
-/// captured as a typed [`MorselPanic`] (first worker in morsel order
-/// wins; a concurrent `Cancelled` loses to it — a real defect outranks
-/// a timeout).
-fn run_morsels<T, F>(
-    base: &ObjectStore,
-    spans: &[(usize, usize)],
-    cancel: Option<&CancelToken>,
+/// The morsel dispatcher of one query: its degree, its cancellation
+/// state, and the worker-side totals the coordinator's store never saw.
+pub(super) struct Morsels {
+    degree: usize,
+    cancel: Option<CancelToken>,
+    /// The query's start on the simulated clock (deadline origin).
     t0: u64,
-    collect: bool,
-    work: F,
-) -> Result<Vec<Morsel<T>>, MorselPanic>
-where
-    T: Send,
-    F: Fn(&mut ExecContext<'_>, (usize, usize), &mut JoinReport) -> T + Sync,
-{
-    let work = &work;
-    let outcomes: Vec<Result<Morsel<T>, Box<dyn Any + Send>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = spans
-            .iter()
-            .enumerate()
-            .map(|(w, &span)| {
-                let mut store = base.clone();
-                let token = cancel.cloned();
-                s.spawn(move || {
-                    let clock0 = store.clock().elapsed();
-                    let io0 = store.stats();
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        if FAIL_WORKER.load(Ordering::SeqCst) == w {
-                            panic!("injected morsel failure (worker {w})");
-                        }
-                        let mut ex = ExecContext::new(&mut store);
-                        if let Some(t) = token.clone() {
-                            ex.set_cancel(t);
-                        }
-                        ex.rebase_start_nanos(t0);
-                        let mut report = JoinReport {
-                            pairs: collect.then(Vec::new),
-                            ..Default::default()
-                        };
-                        let extra = work(&mut ex, span, &mut report);
-                        report.trace = ex.finish();
-                        (report, extra)
-                    }));
-                    match out {
-                        Ok((report, extra)) => {
-                            // Drain this worker's share of the query's
-                            // deferred handle-frees before the clone
-                            // dies, still inside the measured window.
-                            let before = OpCounters::snapshot(&store);
-                            store.end_of_query();
-                            let teardown = OpCounters::snapshot(&store).delta_since(&before);
-                            Ok(Morsel {
-                                io: store.stats().delta_since(&io0),
-                                nanos: store.clock().elapsed() - clock0,
-                                report,
-                                teardown,
-                                extra,
-                            })
-                        }
-                        Err(payload) => {
-                            if payload.downcast_ref::<Cancelled>().is_some() {
-                                if let Some(t) = &token {
-                                    t.cancel();
-                                }
-                            }
-                            Err(payload)
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(Err))
-            .collect()
-    });
+    workers_io: IoStats,
+    workers_nanos: u64,
+    workers_teardown: OpCounters,
+}
 
-    let mut morsels = Vec::with_capacity(outcomes.len());
-    let mut cancelled: Option<Box<dyn Any + Send>> = None;
-    let mut panicked: Option<MorselPanic> = None;
-    for (w, out) in outcomes.into_iter().enumerate() {
-        match out {
-            Ok(m) => morsels.push(m),
-            Err(payload) => {
-                if payload.downcast_ref::<Cancelled>().is_some() {
-                    cancelled.get_or_insert(payload);
-                } else if panicked.is_none() {
-                    panicked = Some(MorselPanic {
-                        worker: w,
-                        message: panic_message(payload.as_ref()),
-                    });
+impl Morsels {
+    /// Contexts that will execute the query's driving lists (≥ 1).
+    pub(super) fn degree(&self) -> usize {
+        self.degree
+    }
+
+    /// Runs `work` over the driving items `0..n`.
+    ///
+    /// At degree 1: one call, `work(ex, 0..n, report, state)`, inline.
+    /// Nothing comes back — `report` and `state` *are* the caller's.
+    ///
+    /// At degree > 1: one scoped worker per [`morsel_spans`] span, each
+    /// on a private clone of `ex`'s store with a fresh partial report
+    /// and a clone of `state`. Every worker is joined before returning;
+    /// their counts and pairs fold into `report` and their traces into
+    /// `ex` in morsel order, and their states come back in that order
+    /// (`state` itself is untouched). A worker that unwinds with
+    /// [`Cancelled`] trips the shared token (stopping siblings at their
+    /// next boundary) and is re-raised after the join; any other panic
+    /// is captured as a typed [`MorselPanic`] (first worker in morsel
+    /// order wins; a concurrent `Cancelled` loses to it — a real defect
+    /// outranks a timeout).
+    pub(super) fn run<S, F>(
+        &mut self,
+        ex: &mut ExecContext<'_>,
+        n: usize,
+        report: &mut JoinReport,
+        state: &mut S,
+        work: F,
+    ) -> Result<Vec<S>, MorselPanic>
+    where
+        S: Clone + Send,
+        F: Fn(&mut ExecContext<'_>, Range<usize>, &mut JoinReport, &mut S) + Sync,
+    {
+        if self.degree == 1 {
+            work(ex, 0..n, report, state);
+            return Ok(Vec::new());
+        }
+        let spans = morsel_spans(n, ex.batch_size(), self.degree);
+        let collect = report.pairs.is_some();
+        let (work, t0) = (&work, self.t0);
+        let outcomes: Vec<Result<Morsel<S>, Box<dyn Any + Send>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = spans
+                .iter()
+                .enumerate()
+                .map(|(w, &(lo, hi))| {
+                    let mut store = ex.store.clone();
+                    let token = self.cancel.clone();
+                    let mut state = state.clone();
+                    s.spawn(move || {
+                        let clock0 = store.clock().elapsed();
+                        let io0 = store.stats();
+                        let out = catch_unwind(AssertUnwindSafe(|| {
+                            if FAIL_WORKER.load(Ordering::SeqCst) == w {
+                                panic!("injected morsel failure (worker {w})");
+                            }
+                            let mut ex = ExecContext::new(&mut store);
+                            if let Some(t) = token.clone() {
+                                ex.set_cancel(t);
+                            }
+                            ex.rebase_start_nanos(t0);
+                            let mut report = JoinReport {
+                                pairs: collect.then(Vec::new),
+                                ..Default::default()
+                            };
+                            work(&mut ex, lo..hi, &mut report, &mut state);
+                            report.trace = ex.finish();
+                            report
+                        }));
+                        match out {
+                            Ok(report) => {
+                                // Drain this worker's share of the query's
+                                // deferred handle-frees before the clone
+                                // dies, still inside the measured window.
+                                let before = OpCounters::snapshot(&store);
+                                store.end_of_query();
+                                let teardown = OpCounters::snapshot(&store).delta_since(&before);
+                                Ok(Morsel {
+                                    io: store.stats().delta_since(&io0),
+                                    nanos: store.clock().elapsed() - clock0,
+                                    report,
+                                    teardown,
+                                    state,
+                                })
+                            }
+                            Err(payload) => {
+                                if payload.downcast_ref::<Cancelled>().is_some() {
+                                    if let Some(t) = &token {
+                                        t.cancel();
+                                    }
+                                }
+                                Err(payload)
+                            }
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(Err))
+                .collect()
+        });
+
+        let mut states = Vec::with_capacity(outcomes.len());
+        let mut cancelled: Option<Box<dyn Any + Send>> = None;
+        let mut panicked: Option<MorselPanic> = None;
+        for (w, out) in outcomes.into_iter().enumerate() {
+            match out {
+                Ok(m) => {
+                    report.results += m.report.results;
+                    report.parents_scanned += m.report.parents_scanned;
+                    report.children_scanned += m.report.children_scanned;
+                    if let Some(pairs) = report.pairs.as_mut() {
+                        pairs.extend(m.report.pairs.unwrap_or_default());
+                    }
+                    ex.absorb(&m.report.trace);
+                    self.workers_io.accumulate(&m.io);
+                    self.workers_nanos += m.nanos;
+                    self.workers_teardown.add(&m.teardown);
+                    states.push(m.state);
+                }
+                Err(payload) => {
+                    if payload.downcast_ref::<Cancelled>().is_some() {
+                        cancelled.get_or_insert(payload);
+                    } else if panicked.is_none() {
+                        panicked = Some(MorselPanic {
+                            worker: w,
+                            message: panic_message(payload.as_ref()),
+                        });
+                    }
                 }
             }
         }
+        if let Some(p) = panicked {
+            return Err(p);
+        }
+        if let Some(c) = cancelled {
+            // Same unwind protocol as a degree-1 run: the session layer
+            // catches the payload and discards the database clone.
+            resume_unwind(c);
+        }
+        Ok(states)
     }
-    if let Some(p) = panicked {
-        return Err(p);
-    }
-    if let Some(c) = cancelled {
-        // Same unwind protocol as the serial path: the session layer
-        // catches the payload and discards the database clone.
-        resume_unwind(c);
-    }
-    Ok(morsels)
 }
 
 /// Best-effort panic-payload text.
@@ -285,74 +322,15 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Merges trace segments — coordinator prefix, workers in morsel
-/// order, coordinator suffix — into one serial-shaped trace. Rows with
-/// the same `(kind, label, depth)` sum field-for-field (the
-/// `merge_stats` arithmetic at operator granularity); a row a segment
-/// introduces is spliced right after the last row it shared with the
-/// merge so far, preserving every segment's serial pre-order.
-fn merge_trace_segments(segments: impl IntoIterator<Item = ExecTrace>) -> ExecTrace {
-    let mut ops: Vec<OpRecord> = Vec::new();
-    for seg in segments {
-        let mut cursor = ops.len();
-        for row in seg.ops {
-            match ops
-                .iter()
-                .position(|r| r.kind == row.kind && r.label == row.label && r.depth == row.depth)
-            {
-                Some(pos) => {
-                    ops[pos].counters.add(&row.counters);
-                    cursor = pos + 1;
-                }
-                None => {
-                    ops.insert(cursor, row);
-                    cursor += 1;
-                }
-            }
-        }
-    }
-    ExecTrace { ops }
-}
-
-/// Folds completed morsels into the coordinator's report, collecting
-/// their traces (in morsel order) and extras, and summing their store
-/// deltas.
-fn fold_morsels<T>(
-    report: &mut JoinReport,
-    segments: &mut Vec<ExecTrace>,
-    morsels: Vec<Morsel<T>>,
-    extras: &mut Vec<T>,
-) -> (IoStats, u64, OpCounters) {
-    let mut io = IoStats::default();
-    let mut nanos = 0u64;
-    let mut teardown = OpCounters::default();
-    for m in morsels {
-        report.results += m.report.results;
-        report.parents_scanned += m.report.parents_scanned;
-        report.children_scanned += m.report.children_scanned;
-        report.swap_faults += m.report.swap_faults;
-        if let Some(pairs) = report.pairs.as_mut() {
-            pairs.extend(m.report.pairs.unwrap_or_default());
-        }
-        io.accumulate(&m.io);
-        nanos += m.nanos;
-        teardown.add(&m.teardown);
-        segments.push(m.report.trace);
-        extras.push(m.extra);
-    }
-    (io, nanos, teardown)
-}
-
-/// [`run_join_with`], morsel-parallel at `degree > 1`.
+/// [`run_join_with`](super::run_join_with) at an explicit morsel degree.
 ///
-/// At `degree <= 1` — and for hybrid hashing, whose partition loop is
-/// already its own blocking decomposition — this IS `run_join_with`:
-/// same code path, byte-identical output. At higher degrees the
-/// driving scan is split with [`morsel_spans`] and executed as
-/// documented on the module. Cancellation unwinds with [`Cancelled`]
-/// exactly like the serial path; a non-cancellation worker panic
-/// surfaces as `Err(MorselPanic)` after every worker has been joined,
-/// with no pinned handle left on the coordinator's store.
+/// Every degree runs the same algorithm code; the degree only decides
+/// whether [`Morsels::run`] executes a driving list inline (`degree <=
+/// 1` — and always for hybrid hashing, whose partition loop is already
+/// its own blocking decomposition) or on worker clones. Cancellation
+/// unwinds with [`Cancelled`] at any degree; a non-cancellation worker
+/// panic surfaces as `Err(MorselPanic)` after every worker has been
+/// joined, with no pinned handle left on the coordinator's store.
 pub fn run_join_parallel(
     algo: JoinAlgo,
     ctx: &mut JoinContext<'_>,
@@ -362,377 +340,52 @@ pub fn run_join_parallel(
     cancel: Option<CancelToken>,
     degree: usize,
 ) -> Result<ParallelRun, MorselPanic> {
-    if degree <= 1 || opts.hybrid_hashing {
-        return Ok(ParallelRun {
-            report: run_join_with(algo, ctx, spec, opts, collect, cancel),
-            workers_io: IoStats::default(),
-            workers_nanos: 0,
-            workers_teardown: OpCounters::default(),
-        });
+    let mut morsels = Morsels {
+        degree: if opts.hybrid_hashing {
+            1
+        } else {
+            degree.max(1)
+        },
+        cancel: cancel.clone(),
+        t0: ctx.store.clock().elapsed(),
+        workers_io: IoStats::default(),
+        workers_nanos: 0,
+        workers_teardown: OpCounters::default(),
+    };
+    let mut ex = ExecContext::new(ctx.store);
+    if let Some(token) = cancel {
+        ex.set_cancel(token);
     }
-    let t0 = ctx.store.clock().elapsed();
+    let mut report = JoinReport {
+        pairs: collect.then(Vec::new),
+        ..Default::default()
+    };
+    let (parents, children) = (ctx.parent_index, ctx.child_index);
+    let (e, m, r) = (&mut ex, &mut morsels, &mut report);
     match algo {
-        JoinAlgo::Nl => nl_parallel(ctx, spec, collect, cancel, degree, t0),
-        JoinAlgo::Nojoin => nojoin_parallel(ctx, spec, opts, collect, cancel, degree, t0),
-        JoinAlgo::Phj => phj_parallel(ctx, spec, opts, collect, cancel, degree, t0),
-        JoinAlgo::Chj => chj_parallel(ctx, spec, opts, collect, cancel, degree, t0),
-    }
-}
-
-/// Opens a coordinator context with the query's token armed and its
-/// deadline origin rebased to `t0`.
-fn coordinator_ex<'a>(
-    store: &'a mut ObjectStore,
-    cancel: &Option<CancelToken>,
-    t0: u64,
-) -> ExecContext<'a> {
-    let mut ex = ExecContext::new(store);
-    if let Some(t) = cancel.clone() {
-        ex.set_cancel(t);
-    }
-    ex.rebase_start_nanos(t0);
-    ex
-}
-
-fn nl_parallel(
-    ctx: &mut JoinContext<'_>,
-    spec: &TreeJoinSpec,
-    collect: bool,
-    cancel: Option<CancelToken>,
-    degree: usize,
-    t0: u64,
-) -> Result<ParallelRun, MorselPanic> {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
-    // Prefix: drain the parent index range — the gather half of the
-    // serial IndexRangeScan node (the serial loop interleaves it with
-    // the fetches; the node's total charges are identical).
-    let parent_index = ctx.parent_index;
-    let mut ex = coordinator_ex(ctx.store, &cancel, t0);
-    let batch = ex.batch_size();
-    let parents: Vec<(i64, Rid)> = ex.op(OpKind::IndexRangeScan, &spec.parents, |ex| {
-        let mut cursor = parent_index.range(
-            ex.store.stack_mut(),
-            i64::MIN + 1,
-            spec.parent_key_limit - 1,
-        );
-        let mut out = Vec::new();
-        while let Some(pair) = cursor.next(ex.store.stack_mut()) {
-            out.push(pair);
+        JoinAlgo::Nl => nl::run(e, parents, spec, m, r)?,
+        JoinAlgo::Nojoin => nojoin::run(e, children, spec, opts, m, r)?,
+        JoinAlgo::Phj if opts.hybrid_hashing => {
+            hybrid::run(e, parents, children, spec, opts, BuildSide::Parents, r)
         }
-        out
-    });
-    let prefix = ex.finish();
-
-    let spans = morsel_spans(parents.len(), batch, degree);
-    let morsels = run_morsels(
-        ctx.store,
-        &spans,
-        cancel.as_ref(),
-        t0,
-        collect,
-        |ex, (lo, hi), report| {
-            let parent_class = ex.store.collection(&spec.parents).class;
-            let child_class = ex.store.collection(&spec.children).class;
-            ex.op(OpKind::IndexRangeScan, &spec.parents, |ex| {
-                let mut items = parents[lo..hi].iter().copied();
-                nl::scan_parents(ex, spec, parent_class, child_class, report, |_| {
-                    items.next()
-                });
-            });
-        },
-    )?;
-
-    let mut segments = vec![prefix];
-    let (workers_io, workers_nanos, workers_teardown) =
-        fold_morsels(&mut report, &mut segments, morsels, &mut Vec::new());
-    report.trace = merge_trace_segments(segments);
-    Ok(ParallelRun {
-        report,
-        workers_io,
-        workers_nanos,
-        workers_teardown,
-    })
-}
-
-fn nojoin_parallel(
-    ctx: &mut JoinContext<'_>,
-    spec: &TreeJoinSpec,
-    opts: &JoinOptions,
-    collect: bool,
-    cancel: Option<CancelToken>,
-    degree: usize,
-    t0: u64,
-) -> Result<ParallelRun, MorselPanic> {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
-    // Prefix: the child gather (and rid sort), exactly the serial one.
-    let child_index = ctx.child_index;
-    let mut ex = coordinator_ex(ctx.store, &cancel, t0);
-    let batch = ex.batch_size();
-    let children = crate::exec::index_range_scan(
-        &mut ex,
-        child_index,
-        spec.child_key_limit,
-        opts.sort_index_rids,
-        &spec.children,
-    );
-    let prefix = ex.finish();
-
-    let spans = morsel_spans(children.len(), batch, degree);
-    let morsels = run_morsels(
-        ctx.store,
-        &spans,
-        cancel.as_ref(),
-        t0,
-        collect,
-        |ex, (lo, hi), report| {
-            let parent_class = ex.store.collection(&spec.parents).class;
-            let child_class = ex.store.collection(&spec.children).class;
-            nojoin::scan_children(
-                ex,
-                spec,
-                parent_class,
-                child_class,
-                &children[lo..hi],
-                report,
-            );
-        },
-    )?;
-
-    let mut segments = vec![prefix];
-    let (workers_io, workers_nanos, workers_teardown) =
-        fold_morsels(&mut report, &mut segments, morsels, &mut Vec::new());
-    report.trace = merge_trace_segments(segments);
-    Ok(ParallelRun {
-        report,
-        workers_io,
-        workers_nanos,
-        workers_teardown,
-    })
-}
-
-fn phj_parallel(
-    ctx: &mut JoinContext<'_>,
-    spec: &TreeJoinSpec,
-    opts: &JoinOptions,
-    collect: bool,
-    cancel: Option<CancelToken>,
-    degree: usize,
-    t0: u64,
-) -> Result<ParallelRun, MorselPanic> {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
-    let parent_index = ctx.parent_index;
-    let child_index = ctx.child_index;
-    let budget = ctx.store.stack().model().operator_memory_budget;
-
-    // Prefix: gather parents, build the shared table serially (the
-    // table is written once, read by every prober), gather children.
-    let mut table: FxHashMap<Rid, i64> = FxHashMap::default();
-    let mut swap = SwapSim::new(0, budget);
-    let mut ex = coordinator_ex(ctx.store, &cancel, t0);
-    let batch = ex.batch_size();
-    let parents = crate::exec::index_range_scan(
-        &mut ex,
-        parent_index,
-        spec.parent_key_limit,
-        opts.sort_index_rids,
-        &spec.parents,
-    );
-    phj::build_parents(
-        &mut ex,
-        spec,
-        opts,
-        &parents,
-        &mut table,
-        &mut swap,
-        &mut report,
-    );
-    report.hash_table_bytes = table.len() as u64 * phj::entry_bytes(opts);
-    let build_faults = swap.faults();
-    report.swap_faults = build_faults;
-    let children = crate::exec::index_range_scan(
-        &mut ex,
-        child_index,
-        spec.child_key_limit,
-        opts.sort_index_rids,
-        &spec.children,
-    );
-    let prefix = ex.finish();
-
-    // Workers: probe child chunks against the shared (read-only)
-    // table, each against a private clone of the post-build swap.
-    let spans = morsel_spans(children.len(), batch, degree);
-    let swap_template = &swap;
-    let table_ref = &table;
-    let morsels = run_morsels(
-        ctx.store,
-        &spans,
-        cancel.as_ref(),
-        t0,
-        collect,
-        |ex, (lo, hi), report| {
-            let child_class = ex.store.collection(&spec.children).class;
-            let mut wswap = swap_template.clone();
-            phj::probe_children(
-                ex,
-                spec,
-                child_class,
-                &children[lo..hi],
-                table_ref,
-                &mut wswap,
-                report,
-            );
-            report.swap_faults = wswap.faults() - build_faults;
-        },
-    )?;
-
-    let mut segments = vec![prefix];
-    let (workers_io, workers_nanos, workers_teardown) =
-        fold_morsels(&mut report, &mut segments, morsels, &mut Vec::new());
-
-    // Suffix: Handle-keyed tables pay their teardown on the
-    // coordinator, merging into the build row like the serial run.
-    if opts.hash_key == HashKeyMode::Handle {
-        let mut ex = coordinator_ex(ctx.store, &cancel, t0);
-        phj::free_table_handles(&mut ex, spec, table.len() as u64);
-        segments.push(ex.finish());
-    }
-    report.trace = merge_trace_segments(segments);
-    Ok(ParallelRun {
-        report,
-        workers_io,
-        workers_nanos,
-        workers_teardown,
-    })
-}
-
-fn chj_parallel(
-    ctx: &mut JoinContext<'_>,
-    spec: &TreeJoinSpec,
-    opts: &JoinOptions,
-    collect: bool,
-    cancel: Option<CancelToken>,
-    degree: usize,
-    t0: u64,
-) -> Result<ParallelRun, MorselPanic> {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
-    let parent_index = ctx.parent_index;
-    let child_index = ctx.child_index;
-    let budget = ctx.store.stack().model().operator_memory_budget;
-
-    // Prefix: the child gather (and rid sort).
-    let mut ex = coordinator_ex(ctx.store, &cancel, t0);
-    let batch = ex.batch_size();
-    let children = crate::exec::index_range_scan(
-        &mut ex,
-        child_index,
-        spec.child_key_limit,
-        opts.sort_index_rids,
-        &spec.children,
-    );
-    let prefix = ex.finish();
-
-    // Workers: build partial tables over child chunks, each with a
-    // private swap simulation growing from empty.
-    let spans = morsel_spans(children.len(), batch, degree);
-    let morsels = run_morsels(
-        ctx.store,
-        &spans,
-        cancel.as_ref(),
-        t0,
-        collect,
-        |ex, (lo, hi), report| {
-            let mut table: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();
-            let mut wswap = SwapSim::new(0, budget);
-            let mut inserted = 0u64;
-            chj::build_children(
-                ex,
-                spec,
-                opts,
-                &children[lo..hi],
-                &mut table,
-                &mut wswap,
-                &mut inserted,
-                report,
-            );
-            report.swap_faults = wswap.faults();
-            (table, inserted)
-        },
-    )?;
-
-    let mut segments = vec![prefix];
-    let mut extras: Vec<(FxHashMap<Rid, Vec<i64>>, u64)> = Vec::new();
-    let (workers_io, workers_nanos, workers_teardown) =
-        fold_morsels(&mut report, &mut segments, morsels, &mut extras);
-
-    // Concatenate the partial tables in worker (= child list) order:
-    // every parent slot ends up holding its child keys in exactly the
-    // serial insertion order, so the probe's Emit sequence is
-    // byte-identical to serial.
-    let mut table: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();
-    let mut inserted_children = 0u64;
-    for (partial, inserted) in extras {
-        for (prid, keys) in partial {
-            table.entry(prid).or_default().extend(keys);
+        JoinAlgo::Chj if opts.hybrid_hashing => {
+            hybrid::run(e, parents, children, spec, opts, BuildSide::Children, r)
         }
-        inserted_children += inserted;
+        JoinAlgo::Phj => phj::run(e, parents, children, spec, opts, m, r)?,
+        JoinAlgo::Chj => chj::run(e, parents, children, spec, opts, m, r)?,
     }
-    report.hash_table_bytes = chj::table_bytes(opts, table.len() as u64, inserted_children);
-
-    // Suffix: probe serially on the coordinator (parents are the small
-    // side; the probe is dominated by the build at paper scale). The
-    // probe's swap starts from a fresh residency grown to the final
-    // table size — same page count as serial, different (still
-    // deterministic) resident set.
-    let parent_class = ctx.store.collection(&spec.parents).class;
-    let mut ex = coordinator_ex(ctx.store, &cancel, t0);
-    let parents = crate::exec::index_range_scan(
-        &mut ex,
-        parent_index,
-        spec.parent_key_limit,
-        opts.sort_index_rids,
-        &spec.parents,
-    );
-    let mut swap = SwapSim::new(0, budget);
-    swap.grow_to(report.hash_table_bytes);
-    chj::probe_parents(
-        &mut ex,
-        spec,
-        parent_class,
-        &parents,
-        &table,
-        &mut swap,
-        &mut report,
-    );
-    report.swap_faults += swap.faults();
-    if opts.hash_key == HashKeyMode::Handle {
-        chj::free_table_handles(&mut ex, spec, inserted_children);
-    }
-    segments.push(ex.finish());
-    report.trace = merge_trace_segments(segments);
+    report.trace = ex.finish();
     Ok(ParallelRun {
         report,
-        workers_io,
-        workers_nanos,
-        workers_teardown,
+        workers_io: morsels.workers_io,
+        workers_nanos: morsels.workers_nanos,
+        workers_teardown: morsels.workers_teardown,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::OpCounters;
 
     #[test]
     fn spans_are_contiguous_batch_aligned_and_cover() {
@@ -765,95 +418,5 @@ mod tests {
     #[test]
     fn spans_degree_one_is_everything() {
         assert_eq!(morsel_spans(100, 8, 1), vec![(0, 100)]);
-    }
-
-    fn row(kind: OpKind, label: &str, depth: u32, cpu: u64) -> OpRecord {
-        OpRecord {
-            kind,
-            label: label.into(),
-            depth,
-            counters: OpCounters {
-                cpu_events: cpu,
-                ..Default::default()
-            },
-        }
-    }
-
-    #[test]
-    fn merge_preserves_serial_shape_and_sums() {
-        // Coordinator prefix: the gather rows. Workers: probe rows.
-        // Suffix: a teardown merging into an existing row.
-        let prefix = ExecTrace {
-            ops: vec![
-                row(OpKind::IndexRangeScan, "Providers", 0, 1),
-                row(OpKind::HashBuild, "Providers", 0, 2),
-                row(OpKind::IndexRangeScan, "Patients", 0, 3),
-            ],
-        };
-        let w1 = ExecTrace {
-            ops: vec![
-                row(OpKind::HashProbe, "Patients", 0, 10),
-                row(OpKind::Emit, "result", 1, 20),
-            ],
-        };
-        // A worker with no emits still merges cleanly.
-        let w2 = ExecTrace {
-            ops: vec![row(OpKind::HashProbe, "Patients", 0, 100)],
-        };
-        let suffix = ExecTrace {
-            ops: vec![row(OpKind::HashBuild, "Providers", 0, 1000)],
-        };
-        let merged = merge_trace_segments([prefix, w1, w2, suffix]);
-        let shape: Vec<(OpKind, &str, u32, u64)> = merged
-            .ops
-            .iter()
-            .map(|r| (r.kind, r.label.as_str(), r.depth, r.counters.cpu_events))
-            .collect();
-        assert_eq!(
-            shape,
-            vec![
-                (OpKind::IndexRangeScan, "Providers", 0, 1),
-                (OpKind::HashBuild, "Providers", 0, 1002),
-                (OpKind::IndexRangeScan, "Patients", 0, 3),
-                (OpKind::HashProbe, "Patients", 0, 110),
-                (OpKind::Emit, "result", 1, 20),
-            ]
-        );
-    }
-
-    #[test]
-    fn merge_splices_new_rows_after_shared_anchor() {
-        // NL shape: every worker re-creates the IndexRangeScan row the
-        // coordinator drained, then hangs SetNav/Emit under it.
-        let prefix = ExecTrace {
-            ops: vec![row(OpKind::IndexRangeScan, "Providers", 0, 1)],
-        };
-        let w1 = ExecTrace {
-            ops: vec![
-                row(OpKind::IndexRangeScan, "Providers", 0, 2),
-                row(OpKind::SetNav, "Patients", 1, 3),
-            ],
-        };
-        let w2 = ExecTrace {
-            ops: vec![
-                row(OpKind::IndexRangeScan, "Providers", 0, 4),
-                row(OpKind::SetNav, "Patients", 1, 5),
-                row(OpKind::Emit, "result", 2, 6),
-            ],
-        };
-        let merged = merge_trace_segments([prefix, w1, w2]);
-        let shape: Vec<(OpKind, u64)> = merged
-            .ops
-            .iter()
-            .map(|r| (r.kind, r.counters.cpu_events))
-            .collect();
-        assert_eq!(
-            shape,
-            vec![
-                (OpKind::IndexRangeScan, 7),
-                (OpKind::SetNav, 8),
-                (OpKind::Emit, 6),
-            ]
-        );
     }
 }

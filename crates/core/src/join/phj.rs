@@ -18,8 +18,9 @@
 //! Operator composition: `IndexRangeScan(parents)` → `HashBuild`,
 //! then `IndexRangeScan(children)` → `HashProbe` with `Emit` on hits.
 
+use super::parallel::{MorselPanic, Morsels};
 use super::{
-    emit, flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, HANDLE_ENTRY_EXTRA_BYTES,
+    flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, HANDLE_ENTRY_EXTRA_BYTES,
     PHJ_ENTRY_BYTES,
 };
 use crate::exec::{index_range_scan, ExecContext, OpKind};
@@ -31,7 +32,7 @@ use tq_objstore::{ClassId, Rid};
 use tq_pagestore::CpuEvent;
 
 /// Bytes per table entry under the given key mode.
-pub(super) fn entry_bytes(opts: &JoinOptions) -> u64 {
+fn entry_bytes(opts: &JoinOptions) -> u64 {
     PHJ_ENTRY_BYTES
         + match opts.hash_key {
             HashKeyMode::Rid => 0,
@@ -45,17 +46,15 @@ pub(super) fn run(
     child_index: &BTreeIndex,
     spec: &TreeJoinSpec,
     opts: &JoinOptions,
-    collect: bool,
-) -> JoinReport {
-    let mut report = JoinReport {
-        pairs: collect.then(Vec::new),
-        ..Default::default()
-    };
+    morsels: &mut Morsels,
+    report: &mut JoinReport,
+) -> Result<(), MorselPanic> {
     let child_class = ex.store.collection(&spec.children).class;
     let budget = ex.store.stack().model().operator_memory_budget;
 
     // Build: hash selected parents by identifier, carrying the
-    // information f(p, pa) needs (the projected attribute).
+    // information f(p, pa) needs (the projected attribute). The table
+    // is written once, here, and read by every prober.
     let mut table: FxHashMap<Rid, i64> = FxHashMap::default();
     let mut swap = SwapSim::new(0, budget);
     let parents = index_range_scan(
@@ -65,10 +64,13 @@ pub(super) fn run(
         opts.sort_index_rids,
         &spec.parents,
     );
-    build_parents(ex, spec, opts, &parents, &mut table, &mut swap, &mut report);
+    build_parents(ex, spec, opts, &parents, &mut table, &mut swap, report);
     report.hash_table_bytes = table.len() as u64 * entry_bytes(opts);
+    let build_faults = swap.faults();
 
     // Probe: scan selected children sequentially, probe by parent rid.
+    // The children are the driving list; a worker pages against its own
+    // copy of the post-build swap state.
     let children = index_range_scan(
         ex,
         child_index,
@@ -76,26 +78,32 @@ pub(super) fn run(
         opts.sort_index_rids,
         &spec.children,
     );
-    probe_children(
+    let worker_swaps = morsels.run(
         ex,
-        spec,
-        child_class,
-        &children,
-        &table,
+        children.len(),
+        report,
         &mut swap,
-        &mut report,
-    );
-    report.swap_faults = swap.faults();
+        |ex, span, report, swap| {
+            let children = &children[span];
+            probe_children(ex, spec, child_class, children, &table, swap, report);
+        },
+    )?;
+    let probe_faults = |s: &SwapSim| s.faults() - build_faults;
+    report.swap_faults = swap.faults() + worker_swaps.iter().map(probe_faults).sum::<u64>();
     if opts.hash_key == HashKeyMode::Handle {
-        free_table_handles(ex, spec, table.len() as u64);
+        // Tear the pinned table handles down (the table's cost).
+        ex.op(OpKind::HashBuild, &spec.parents, |ex| {
+            ex.store.charge(CpuEvent::HandleFree, table.len() as u64);
+        });
     }
-    report
+    Ok(())
 }
 
 /// The build half: fetch each selected parent and insert it into the
-/// shared table, growing and touching the swap simulation per entry.
-/// Call after the parent gather; opens the `HashBuild(parents)` scope.
-pub(super) fn build_parents(
+/// table, growing and touching the swap simulation per entry. The list
+/// was gathered before the first fetch, so it is fetched a batch at a
+/// time. Opens the `HashBuild(parents)` scope.
+fn build_parents(
     ex: &mut ExecContext<'_>,
     spec: &TreeJoinSpec,
     opts: &JoinOptions,
@@ -108,16 +116,18 @@ pub(super) fn build_parents(
     let entry_bytes = entry_bytes(opts);
     let batch = ex.batch_size();
     ex.op(OpKind::HashBuild, &spec.parents, |ex| {
-        if batch <= 1 {
-            for &(parent_key, prid) in parents {
-                ex.with_object(prid, |ex, parent| {
+        for part in parents.chunks(batch) {
+            ex.fetch_chunk(
+                part,
+                |&(_, prid)| prid,
+                |ex, &(parent_key, _), prid, parent| {
                     report.parents_scanned += 1;
                     if parent.is_deleted() {
                         return;
                     }
                     ex.store
                         .charge_attr_access(parent_class, spec.parent_project);
-                    table.insert(parent.rid(), parent_key);
+                    table.insert(prid, parent_key);
                     ex.store.charge(CpuEvent::HashInsert, 1);
                     if opts.hash_key == HashKeyMode::Handle {
                         // The entry pins a full handle for the table's lifetime.
@@ -125,49 +135,19 @@ pub(super) fn build_parents(
                     }
                     // The table grows; keep its simulated page count current.
                     swap.grow_to(table.len() as u64 * entry_bytes);
-                    if swap.touch(rid_hash(parent.rid())) {
+                    if swap.touch(rid_hash(prid)) {
                         ex.store.charge(CpuEvent::SwapFault, 1);
                     }
-                });
-            }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            for chunk in parents.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for (i, &(parent_key, _)) in chunk.iter().enumerate() {
-                        let (prid, parent) = objs.get(i);
-                        report.parents_scanned += 1;
-                        if parent.is_deleted() {
-                            continue;
-                        }
-                        ex.store
-                            .charge_attr_access(parent_class, spec.parent_project);
-                        table.insert(prid, parent_key);
-                        ex.store.charge(CpuEvent::HashInsert, 1);
-                        if opts.hash_key == HashKeyMode::Handle {
-                            ex.store.charge(CpuEvent::HandleAlloc, 1);
-                        }
-                        swap.grow_to(table.len() as u64 * entry_bytes);
-                        if swap.touch(rid_hash(prid)) {
-                            ex.store.charge(CpuEvent::SwapFault, 1);
-                        }
-                    }
-                });
-            }
-            ex.put_rid_batch(rids);
+                },
+            );
         }
     });
 }
 
-/// The probe half: fetch each selected child, probe the (read-only)
-/// table by parent rid, and emit hits. Opens the
-/// `HashProbe(children)` scope. Factored out of [`run`] so the morsel
-/// workers of [`super::parallel`] probe contiguous chunks of the child
-/// list against the shared table with the identical charge sequence
-/// (each worker touches its own clone of the post-build `swap`).
-pub(super) fn probe_children(
+/// The probe half: fetch each selected child (gathered list, a batch
+/// at a time), probe the read-only table by parent rid, and emit hits.
+/// Opens the `HashProbe(children)` scope.
+fn probe_children(
     ex: &mut ExecContext<'_>,
     spec: &TreeJoinSpec,
     child_class: ClassId,
@@ -178,9 +158,13 @@ pub(super) fn probe_children(
 ) {
     let batch = ex.batch_size();
     ex.op(OpKind::HashProbe, &spec.children, |ex| {
-        if batch <= 1 {
-            for &(child_key, crid) in children {
-                ex.with_object(crid, |ex, child| {
+        let mut pending = ex.take_val_batch();
+        let emit_charges = [(child_class, spec.child_project)];
+        for part in children.chunks(batch) {
+            ex.fetch_chunk(
+                part,
+                |&(_, crid)| crid,
+                |ex, &(child_key, _), _, child| {
                     report.children_scanned += 1;
                     if child.is_deleted() {
                         return;
@@ -194,57 +178,17 @@ pub(super) fn probe_children(
                         ex.store.charge(CpuEvent::SwapFault, 1);
                     }
                     if let Some(&parent_key) = table.get(&prid) {
-                        ex.op(OpKind::Emit, "result", |ex| {
-                            ex.store.charge_attr_access(child_class, spec.child_project);
-                            emit(ex.store, spec, report, parent_key, child_key);
-                        });
+                        pending.push((parent_key, child_key));
                     }
-                });
+                },
+            );
+            if pending.len() >= batch {
+                let at = ex.current_node();
+                flush_emits(ex, at, &mut pending, &emit_charges, spec, report);
             }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            let mut pending = ex.take_val_batch();
-            let emit_charges = [(child_class, spec.child_project)];
-            for chunk in children.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for (i, &(child_key, _)) in chunk.iter().enumerate() {
-                        let child = objs.record(i);
-                        report.children_scanned += 1;
-                        if child.is_deleted() {
-                            continue;
-                        }
-                        ex.store.charge_attr_access(child_class, spec.child_parent);
-                        let prid = child
-                            .ref_rid(spec.child_parent)
-                            .expect("child parent reference");
-                        ex.store.charge(CpuEvent::HashProbe, 1);
-                        if swap.touch(rid_hash(prid)) {
-                            ex.store.charge(CpuEvent::SwapFault, 1);
-                        }
-                        if let Some(&parent_key) = table.get(&prid) {
-                            pending.push((parent_key, child_key));
-                        }
-                    }
-                });
-                if pending.len() >= batch {
-                    let at = ex.current_node();
-                    flush_emits(ex, at, &mut pending, &emit_charges, spec, report);
-                }
-            }
-            let at = ex.current_node();
-            flush_emits(ex, at, &mut pending, &emit_charges, spec, report);
-            ex.put_rid_batch(rids);
-            ex.put_val_batch(pending);
         }
-    });
-}
-
-/// Tear the pinned table handles down (the table's cost) — Handle key
-/// mode only. Re-enters the `HashBuild(parents)` node.
-pub(super) fn free_table_handles(ex: &mut ExecContext<'_>, spec: &TreeJoinSpec, entries: u64) {
-    ex.op(OpKind::HashBuild, &spec.parents, |ex| {
-        ex.store.charge(CpuEvent::HandleFree, entries);
+        let at = ex.current_node();
+        flush_emits(ex, at, &mut pending, &emit_charges, spec, report);
+        ex.put_val_batch(pending);
     });
 }

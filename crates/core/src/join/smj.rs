@@ -22,7 +22,7 @@
 //! (spills included), then `Merge` with `Emit` on matches.
 
 use super::spill::{SpillRun, SpillWriter};
-use super::{emit, flush_emits, JoinContext, JoinOptions, JoinReport, TreeJoinSpec};
+use super::{flush_emits, JoinContext, JoinOptions, JoinReport, TreeJoinSpec};
 use crate::exec::{index_range_scan, ExecContext, OpKind};
 use tq_index::BTreeIndex;
 use tq_objstore::{ObjectStore, Rid};
@@ -132,37 +132,20 @@ fn run_exec(
     let batch = ex.batch_size();
     let mut parent_keys: Vec<(Rid, i64)> = Vec::with_capacity(parents.len());
     ex.op(OpKind::IndexRangeScan, &spec.parents, |ex| {
-        if batch <= 1 {
-            for &(parent_key, prid) in &parents {
-                ex.with_object(prid, |ex, parent| {
+        for part in parents.chunks(batch) {
+            ex.fetch_chunk(
+                part,
+                |&(_, prid)| prid,
+                |ex, &(parent_key, _), prid, parent| {
                     report.parents_scanned += 1;
                     if parent.is_deleted() {
                         return;
                     }
                     ex.store
                         .charge_attr_access(parent_class, spec.parent_project);
-                    parent_keys.push((parent.rid(), parent_key));
-                });
-            }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            for chunk in parents.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for (i, &(parent_key, _)) in chunk.iter().enumerate() {
-                        let (prid, parent) = objs.get(i);
-                        report.parents_scanned += 1;
-                        if parent.is_deleted() {
-                            continue;
-                        }
-                        ex.store
-                            .charge_attr_access(parent_class, spec.parent_project);
-                        parent_keys.push((prid, parent_key));
-                    }
-                });
-            }
-            ex.put_rid_batch(rids);
+                    parent_keys.push((prid, parent_key));
+                },
+            );
         }
     });
 
@@ -176,9 +159,11 @@ fn run_exec(
     );
     let mut child_pairs: Vec<(i64, Rid)> = Vec::with_capacity(children.len());
     ex.op(OpKind::IndexRangeScan, &spec.children, |ex| {
-        if batch <= 1 {
-            for &(child_key, crid) in &children {
-                ex.with_object(crid, |ex, child| {
+        for part in children.chunks(batch) {
+            ex.fetch_chunk(
+                part,
+                |&(_, crid)| crid,
+                |ex, &(child_key, _), _, child| {
                     report.children_scanned += 1;
                     if child.is_deleted() {
                         return;
@@ -189,30 +174,8 @@ fn run_exec(
                         .ref_rid(spec.child_parent)
                         .expect("child parent reference");
                     child_pairs.push((child_key, prid));
-                });
-            }
-        } else {
-            let mut rids = ex.take_rid_batch();
-            for chunk in children.chunks(batch) {
-                rids.clear();
-                rids.extend(chunk.iter().map(|&(_, r)| r));
-                ex.with_batch(&rids, |ex, objs| {
-                    for (i, &(child_key, _)) in chunk.iter().enumerate() {
-                        let child = objs.record(i);
-                        report.children_scanned += 1;
-                        if child.is_deleted() {
-                            continue;
-                        }
-                        ex.store.charge_attr_access(child_class, spec.child_parent);
-                        ex.store.charge_attr_access(child_class, spec.child_project);
-                        let prid = child
-                            .ref_rid(spec.child_parent)
-                            .expect("child parent reference");
-                        child_pairs.push((child_key, prid));
-                    }
-                });
-            }
-            ex.put_rid_batch(rids);
+                },
+            );
         }
     });
     let (sorted_children, spill_pages) = ex.op(OpKind::Sort, &spec.children, |ex| {
@@ -222,55 +185,28 @@ fn run_exec(
 
     // Merge on parent rid; both sides are rid-ordered.
     ex.op(OpKind::Merge, "rid", |ex| {
-        if batch <= 1 {
-            let mut ci = 0;
-            for &(prid, parent_key) in &parent_keys {
-                while ci < sorted_children.len() && sorted_children[ci].1 < prid {
-                    ex.store.charge(CpuEvent::Compare, 1);
-                    ci += 1;
-                }
-                let mut cj = ci;
-                while cj < sorted_children.len() && sorted_children[cj].1 == prid {
-                    ex.store.charge(CpuEvent::Compare, 1);
-                    ex.op(OpKind::Emit, "result", |ex| {
-                        emit(
-                            ex.store,
-                            spec,
-                            &mut report,
-                            parent_key,
-                            sorted_children[cj].0,
-                        );
-                    });
-                    cj += 1;
-                }
-                // Do not advance ci past the run: duplicate parents cannot
-                // occur (rids are unique), so continue from cj.
-                ci = cj;
+        let mut pending = ex.take_val_batch();
+        let mut ci = 0;
+        for &(prid, parent_key) in &parent_keys {
+            while ci < sorted_children.len() && sorted_children[ci].1 < prid {
+                ex.store.charge(CpuEvent::Compare, 1);
+                ci += 1;
             }
-        } else {
-            let mut pending = ex.take_val_batch();
-            let mut ci = 0;
-            for &(prid, parent_key) in &parent_keys {
-                while ci < sorted_children.len() && sorted_children[ci].1 < prid {
-                    ex.store.charge(CpuEvent::Compare, 1);
-                    ci += 1;
-                }
-                let mut cj = ci;
-                while cj < sorted_children.len() && sorted_children[cj].1 == prid {
-                    ex.store.charge(CpuEvent::Compare, 1);
-                    pending.push((parent_key, sorted_children[cj].0));
-                    cj += 1;
-                }
-                ci = cj;
-                if pending.len() >= batch {
-                    let at = ex.current_node();
-                    flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-                }
+            // Parent rids are unique, so the run of equal children is
+            // consumed here and the next parent continues after it.
+            while ci < sorted_children.len() && sorted_children[ci].1 == prid {
+                ex.store.charge(CpuEvent::Compare, 1);
+                pending.push((parent_key, sorted_children[ci].0));
+                ci += 1;
             }
-            let at = ex.current_node();
-            flush_emits(ex, at, &mut pending, &[], spec, &mut report);
-            ex.put_val_batch(pending);
+            if pending.len() >= batch {
+                let at = ex.current_node();
+                flush_emits(ex, at, &mut pending, &[], spec, &mut report);
+            }
         }
+        let at = ex.current_node();
+        flush_emits(ex, at, &mut pending, &[], spec, &mut report);
+        ex.put_val_batch(pending);
     });
     report
 }

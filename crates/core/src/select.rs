@@ -90,10 +90,9 @@ fn residual_op(
     })
 }
 
-/// Flushes deferred projected values through one `Emit` scope — the
-/// batched scans' counterpart of the per-result nested `Emit`. The
-/// per-value project charge and result append land on the same merged
-/// `Emit` node the scalar path produces, so totals are identical.
+/// Flushes deferred projected values through one `Emit` scope. Every
+/// scan defers its results this way, so the per-value project charge
+/// and result append always land on the one `Emit` node under the scan.
 fn flush_select_emits(
     ex: &mut ExecContext<'_>,
     class: tq_objstore::ClassId,
@@ -113,6 +112,25 @@ fn flush_select_emits(
     pending.clear();
 }
 
+/// The row body of both index-driven scans: the index already applied
+/// the primary predicate, so a fetched object only has to be live and
+/// pass the residuals to be selected.
+fn index_row(
+    ex: &mut ExecContext<'_>,
+    class: tq_objstore::ClassId,
+    sel: &Selection,
+    fetched: &tq_objstore::Record,
+    report: &mut SelectReport,
+    pending: &mut Vec<(i64, i64)>,
+) {
+    report.scanned += 1;
+    if fetched.is_deleted() || !residual_op(ex, class, fetched, sel) {
+        return;
+    }
+    report.selected += 1;
+    pending.push((int_attr(fetched, sel.project), 0));
+}
+
 /// Figure 8 (left): full scan with per-object predicate evaluation.
 pub fn seq_scan(store: &mut ObjectStore, sel: &Selection, collect: bool) -> SelectReport {
     let info = store.collection(&sel.collection);
@@ -124,55 +142,31 @@ pub fn seq_scan(store: &mut ObjectStore, sel: &Selection, collect: bool) -> Sele
     let mut ex = ExecContext::new(store);
     let batch = ex.batch_size();
     ex.op(OpKind::SeqScan, &sel.collection, |ex| {
-        if batch <= 1 {
-            while let Some(rid) = cursor.next(ex.store.stack_mut()) {
-                ex.with_object(rid, |ex, fetched| {
-                    report.scanned += 1;
-                    if fetched.is_deleted() {
-                        return;
-                    }
-                    ex.store.charge_attr_access(info.class, sel.attr);
-                    ex.store.charge(CpuEvent::Compare, 1);
-                    let key_val = int_attr(fetched, sel.attr);
-                    if sel.cmp.eval(key_val, sel.key) && residual_op(ex, info.class, fetched, sel) {
-                        report.selected += 1;
-                        ex.op(OpKind::Emit, "result", |ex| {
-                            ex.store.charge_attr_access(info.class, sel.project);
-                            let v = int_attr(fetched, sel.project);
-                            append_result(ex.store, sel.result_mode, &mut report.values, v);
-                        });
-                    }
-                });
-            }
-        } else {
-            // The open scan's rid-run page reads interleave with the
-            // object fetches — that interleave is measured physical
-            // behaviour (reordering it perturbs cache recency), so
-            // fetches stay one-at-a-time at any batch size; only the
-            // per-result Emit scopes are deferred and flushed in
-            // batches.
-            let mut pending = ex.take_val_batch();
-            while let Some(rid) = cursor.next(ex.store.stack_mut()) {
-                ex.with_object(rid, |ex, fetched| {
-                    report.scanned += 1;
-                    if fetched.is_deleted() {
-                        return;
-                    }
-                    ex.store.charge_attr_access(info.class, sel.attr);
-                    ex.store.charge(CpuEvent::Compare, 1);
-                    let key_val = int_attr(fetched, sel.attr);
-                    if sel.cmp.eval(key_val, sel.key) && residual_op(ex, info.class, fetched, sel) {
-                        report.selected += 1;
-                        pending.push((int_attr(fetched, sel.project), 0));
-                    }
-                });
-                if pending.len() >= batch {
-                    flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
+        // The open scan's rid-run page reads interleave with the
+        // object fetches — measured physical behaviour (reordering it
+        // perturbs cache recency) — so objects come off the live cursor
+        // one per fetch at any batch size; only the results are batched.
+        let mut pending = ex.take_val_batch();
+        while let Some(rid) = cursor.next(ex.store.stack_mut()) {
+            ex.with_object(rid, |ex, fetched| {
+                report.scanned += 1;
+                if fetched.is_deleted() {
+                    return;
                 }
+                ex.store.charge_attr_access(info.class, sel.attr);
+                ex.store.charge(CpuEvent::Compare, 1);
+                let key_val = int_attr(fetched, sel.attr);
+                if sel.cmp.eval(key_val, sel.key) && residual_op(ex, info.class, fetched, sel) {
+                    report.selected += 1;
+                    pending.push((int_attr(fetched, sel.project), 0));
+                }
+            });
+            if pending.len() >= batch {
+                flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
             }
-            flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
-            ex.put_val_batch(pending);
         }
+        flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
+        ex.put_val_batch(pending);
     });
     report.trace = ex.finish();
     report
@@ -199,43 +193,21 @@ pub fn index_scan(
     let mut ex = ExecContext::new(store);
     let batch = ex.batch_size();
     ex.op(OpKind::IndexRangeScan, &sel.collection, |ex| {
+        // The index-leaf/object-page interleave IS what Figure 6
+        // measures: one object per fetch off the live index cursor at
+        // any batch size; only the results are batched.
         let mut cursor = index.range(ex.store.stack_mut(), lo, hi);
-        if batch <= 1 {
-            while let Some((_key, rid)) = cursor.next(ex.store.stack_mut()) {
-                ex.with_object(rid, |ex, fetched| {
-                    report.scanned += 1;
-                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
-                        return;
-                    }
-                    report.selected += 1;
-                    ex.op(OpKind::Emit, "result", |ex| {
-                        ex.store.charge_attr_access(info.class, sel.project);
-                        let v = int_attr(fetched, sel.project);
-                        append_result(ex.store, sel.result_mode, &mut report.values, v);
-                    });
-                });
+        let mut pending = ex.take_val_batch();
+        while let Some((_key, rid)) = cursor.next(ex.store.stack_mut()) {
+            ex.with_object(rid, |ex, fetched| {
+                index_row(ex, info.class, sel, fetched, &mut report, &mut pending);
+            });
+            if pending.len() >= batch {
+                flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
             }
-        } else {
-            // The naive scan's index-leaf/object-page interleave IS
-            // what Figure 6 measures, so fetches stay one-at-a-time at
-            // any batch size; only the Emit scopes are batched.
-            let mut pending = ex.take_val_batch();
-            while let Some((_key, rid)) = cursor.next(ex.store.stack_mut()) {
-                ex.with_object(rid, |ex, fetched| {
-                    report.scanned += 1;
-                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
-                        return;
-                    }
-                    report.selected += 1;
-                    pending.push((int_attr(fetched, sel.project), 0));
-                });
-                if pending.len() >= batch {
-                    flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
-                }
-            }
-            flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
-            ex.put_val_batch(pending);
         }
+        flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
+        ex.put_val_batch(pending);
     });
     report.trace = ex.finish();
     report
@@ -275,42 +247,22 @@ pub fn sorted_index_scan(
     report.rids_sorted = n;
     let batch = ex.batch_size();
     ex.op(OpKind::IndexRangeScan, &sel.collection, |ex| {
-        if batch <= 1 {
-            for &rid in &rids {
-                ex.with_object(rid, |ex, fetched| {
-                    report.scanned += 1;
-                    if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
-                        return;
-                    }
-                    report.selected += 1;
-                    ex.op(OpKind::Emit, "result", |ex| {
-                        ex.store.charge_attr_access(info.class, sel.project);
-                        let v = int_attr(fetched, sel.project);
-                        append_result(ex.store, sel.result_mode, &mut report.values, v);
-                    });
-                });
+        // The rid list is complete before the first fetch: gather.
+        let mut pending = ex.take_val_batch();
+        for part in rids.chunks(batch) {
+            ex.fetch_chunk(
+                part,
+                |&rid| rid,
+                |ex, _, _, fetched| {
+                    index_row(ex, info.class, sel, fetched, &mut report, &mut pending);
+                },
+            );
+            if pending.len() >= batch {
+                flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
             }
-        } else {
-            let mut pending = ex.take_val_batch();
-            for chunk in rids.chunks(batch) {
-                ex.with_batch(chunk, |ex, objs| {
-                    for i in 0..objs.len() {
-                        let fetched = objs.record(i);
-                        report.scanned += 1;
-                        if fetched.is_deleted() || !residual_op(ex, info.class, fetched, sel) {
-                            continue;
-                        }
-                        report.selected += 1;
-                        pending.push((int_attr(fetched, sel.project), 0));
-                    }
-                });
-                if pending.len() >= batch {
-                    flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
-                }
-            }
-            flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
-            ex.put_val_batch(pending);
         }
+        flush_select_emits(ex, info.class, sel, &mut pending, &mut report.values);
+        ex.put_val_batch(pending);
     });
     report.trace = ex.finish();
     report

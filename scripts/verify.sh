@@ -20,6 +20,15 @@ if grep -rnE '\.(fetch|release)\(' crates/core/src/join/; then
     exit 1
 fi
 
+echo "== one loop body per operator (no batch-size fork in tq-query) =="
+# An operator picks its fetch chunk from what it observes (a live
+# cursor, an overflow set, spilling partitions), never by branching on
+# the TQ_BATCH knob into a second copy of its row logic.
+if grep -rnE 'batch(_size\(\))? <= 1|batch > 1 &&' crates/core/src; then
+    echo "error: a batch-size fork is back under crates/core/src" >&2
+    exit 1
+fi
+
 echo "== build (release, workspace) =="
 cargo build --release --workspace
 
@@ -143,9 +152,9 @@ echo "== sharded differential oracle (release) =="
 cargo test --release -q -p tq-router --test sharded_equivalence
 
 echo "== parallel smoke: TQ_PARALLEL=1 is the serial path (golden stdout) =="
-# Degree 1 short-circuits to the serial executor, so figure stdout must
-# be byte-identical with TQ_PARALLEL unset vs set to 1 — the knob may
-# change when work happens, never what is printed. An invalid
+# Degree 1 is the default — the dispatcher runs every driving list
+# inline — so figure stdout must be byte-identical with TQ_PARALLEL
+# unset vs set to 1. An invalid
 # TQ_PARALLEL must exit 2 (env-knob contract).
 PAR_REF=$(TQ_SCALE=200 TQ_JOBS=2 \
     ./target/release/fig11_14_joins --db db2 --org class)

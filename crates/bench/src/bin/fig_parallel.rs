@@ -17,8 +17,9 @@
 //! win parallelism buys is wall-clock via more cores, and on a
 //! single-core host (`host_cores: 1`) there is none to buy: expect
 //! degree 4 to cost *more* CPU than degree 1 (thread setup, store
-//! clones) with flat wall clock. The JSON records `host_cores` so a
-//! reader can tell a physics-limited run from a regression.
+//! clones) with flat wall clock. The header line prints the host's
+//! core count so a reader can tell a physics-limited run from a
+//! regression.
 
 use std::time::Instant;
 
@@ -47,7 +48,7 @@ fn main() {
         "Intra-query scaling: every join algorithm, morsel-parallel at \
          degrees 1/2/4, reporting host CPU + wall time (min of 3 \
          interleaved rounds) against simulated cost.",
-        "fig_parallel [--json PATH]",
+        "fig_parallel",
         &[env::ENV_SCALE, env::ENV_BATCH, env::ENV_PARALLEL],
     );
     let (scale, _jobs) = tq_bench::env_config_or_exit();
@@ -111,42 +112,5 @@ fn main() {
                 );
             }
         }
-    }
-
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-    {
-        let mut rows = String::new();
-        for (ai, &algo) in ALGOS.iter().enumerate() {
-            for (di, &degree) in DEGREES.iter().enumerate() {
-                let c = &cells[ai][di];
-                if !rows.is_empty() {
-                    rows.push_str(",\n");
-                }
-                rows.push_str(&format!(
-                    "    {{ \"algo\": \"{}\", \"degree\": {}, \"cpu_ms\": {}, \
-                     \"wall_ms\": {}, \"sim_secs\": {:.6}, \"results\": {} }}",
-                    algo.label(),
-                    degree,
-                    c.cpu_ms,
-                    c.wall_ms,
-                    c.sim_secs,
-                    c.results
-                ));
-            }
-        }
-        let json = format!(
-            "{{\n  \"host_cores\": {host_cores},\n  \"scale\": {scale},\n  \
-             \"rounds\": {ROUNDS},\n  \"pat_pct\": {PAT_PCT},\n  \
-             \"prov_pct\": {PROV_PCT},\n  \"cells\": [\n{rows}\n  ]\n}}\n"
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
     }
 }

@@ -4,8 +4,7 @@
 //! `TQ_CONCURRENCY` client threads for `TQ_DURATION` seconds, and
 //! reports throughput, latency percentiles (p50/p95/p99 from a
 //! log-scaled histogram), and the admission-control shed rate —
-//! machine-readably as the latency CSV, and optionally as a JSON
-//! record for `BENCH_serve.json` (`--json`).
+//! machine-readably as the latency CSV.
 
 use std::time::Duration;
 
@@ -23,7 +22,7 @@ fn main() {
          throughput, latency percentiles, and shed rate.",
         "loadgen [--db db1|db2] [--org class|random|comp|assoc] \
          [--algo nl|nojoin|phj|chj] [--pat PCT] [--prov PCT] [--warm] \
-         [--deadline-ms N] [--json PATH]",
+         [--deadline-ms N]",
         &[
             env::ENV_SCALE,
             env::ENV_JOBS,
@@ -141,12 +140,7 @@ fn main() {
         warmup.as_millis(),
         write_mix
     );
-    let cpu_ms_before = tq_bench::process_cpu_ms();
     let outcome = run_serve(db, &cfg);
-    let cpu_ms = match (cpu_ms_before, tq_bench::process_cpu_ms()) {
-        (Some(before), Some(after)) => Some(after - before),
-        _ => None,
-    };
     let s = &outcome.stat;
     println!(
         "ran {} ({} x{}, scale 1/{})",
@@ -185,21 +179,6 @@ fn main() {
         );
     }
     println!("{}", to_latency_csv([s]));
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-    {
-        std::fs::write(
-            path,
-            json_record(&outcome, scale, org, shards, parallel, cpu_ms),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
     if s.errors > 0 || outcome.leaked_handles > 0 {
         std::process::exit(1);
     }
@@ -208,53 +187,4 @@ fn main() {
 fn exit_usage(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2)
-}
-
-/// One flat JSON record for `BENCH_serve.json` (hand-rolled: the only
-/// string field is a label we format ourselves, so no escaping is
-/// needed).
-fn json_record(
-    outcome: &tq_bench::ServeOutcome,
-    scale: u32,
-    org: Organization,
-    shards: u32,
-    parallel: usize,
-    cpu_ms: Option<u64>,
-) -> String {
-    let s = &outcome.stat;
-    format!(
-        "{{\n  \"label\": \"{}\",\n  \"organization\": \"{}\",\n  \"scale\": {},\n  \
-         \"concurrency\": {},\n  \"workers\": {},\n  \"queue_depth\": {},\n  \
-         \"shards\": {},\n  \"parallel\": {},\n  \"cpu_ms\": {},\n  \
-         \"duration_ns\": {},\n  \"queries_ok\": {},\n  \"queries_shed\": {},\n  \
-         \"queries_shed_router\": {},\n  \
-         \"deadline_exceeded\": {},\n  \"errors\": {},\n  \"commits\": {},\n  \
-         \"aborts\": {},\n  \"abort_rate\": {:.3},\n  \"leaked_handles\": {},\n  \
-         \"throughput_qps\": {:.3},\n  \"p50_ns\": {},\n  \"p95_ns\": {},\n  \
-         \"p99_ns\": {},\n  \"max_ns\": {}\n}}\n",
-        s.label,
-        org.label(),
-        scale,
-        s.concurrency,
-        s.workers,
-        s.queue_depth,
-        shards,
-        parallel,
-        cpu_ms.map_or("null".to_string(), |ms| ms.to_string()),
-        s.duration_nanos,
-        s.queries_ok,
-        s.queries_shed,
-        s.shed_router,
-        s.deadline_exceeded,
-        s.errors,
-        s.commits,
-        s.aborts,
-        s.abort_rate(),
-        outcome.leaked_handles,
-        s.throughput_qps(),
-        s.p50_nanos,
-        s.p95_nanos,
-        s.p99_nanos,
-        s.max_nanos,
-    )
 }

@@ -13,7 +13,7 @@ use tq_workload::{build, BuildConfig, Database, DbShape, Organization};
 pub use crate::env::{jobs_from_env, scale_from_env};
 pub use tq_server::measure::{
     join_spec, measure_current, measure_current_parallel, operator_rows, run_join_cell,
-    run_join_cell_parallel, run_join_cell_warm, run_join_cell_with, stat_record, JoinCell,
+    run_join_cell_parallel, run_join_cell_warm, stat_record, JoinCell,
 };
 
 /// Builds the database for a figure, honouring `TQ_SCALE`.

@@ -139,4 +139,51 @@ fn worker_faults_are_typed_prompt_and_leak_free() {
     // The handler thread exits on client hang-up; shutdown joins it.
     drop(client);
     server.shutdown();
+
+    // --- A plain panic inside a served query at degree 1 (the inline
+    // run is the hook's worker 0): no morsel scope catches it, so it
+    // unwinds to the pool's only worker. It must become a typed
+    // `Error` — not a dead worker, not a session stuck `Busy` — and the
+    // *same session* must serve the same query right after. ---
+    let server = Server::start(
+        master.clone(),
+        ServerConfig {
+            workers: 1,
+            queue_depth: 4,
+            parallel: 1,
+        },
+    );
+    let mut client = Client::new(server.connect_in_proc());
+    let session = client.open_session(CacheMode::Cold).expect("open session");
+    let spec = QuerySpec {
+        session,
+        algo: JoinAlgo::Phj,
+        pat_pct: 10,
+        prov_pct: 90,
+        deadline_nanos: 0,
+    };
+    inject_worker_panic(0);
+    let err = client
+        .query(spec)
+        .expect_err("a panicking query must answer Error, not hang");
+    clear_worker_panic();
+    assert!(
+        err.to_string()
+            .contains("internal error: injected morsel failure (worker 0)"),
+        "served error must carry the panic message: {err}"
+    );
+    match client.query(spec).expect("recovery reply") {
+        Response::QueryOk { results, .. } => {
+            let mut oracle = master.clone();
+            let serial = run_join_cell(&mut oracle, JoinAlgo::Phj, 10, 90, &opts);
+            assert_eq!(results, serial.results, "post-panic serve must be correct");
+        }
+        other => panic!("post-panic query answered {other:?}"),
+    }
+    let (_drained, leaked, _uncommitted) = client.close_session(session).expect("close session");
+    assert_eq!(leaked, 0, "a panicked query may not leak handles");
+    assert_eq!(server.open_sessions(), 0);
+    assert_eq!(server.stats().queries_failed, 1);
+    drop(client);
+    server.shutdown();
 }

@@ -106,7 +106,8 @@ pub struct ParallelRun {
 /// Worker index forced to panic, for the panic-in-morsel tests.
 static FAIL_WORKER: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-/// Test hook: the next parallel run's worker `w` panics on entry.
+/// Test hook: the next run's worker `w` panics on entry (at degree 1
+/// the inline run counts as worker 0).
 #[doc(hidden)]
 pub fn inject_worker_panic(w: usize) {
     FAIL_WORKER.store(w, Ordering::SeqCst);
@@ -201,6 +202,12 @@ impl Morsels {
         F: Fn(&mut ExecContext<'_>, Range<usize>, &mut JoinReport, &mut S) + Sync,
     {
         if self.degree == 1 {
+            // The inline arm is "worker 0" of the fault-injection hook:
+            // a plain panic here is what any engine defect looks like
+            // to the session layer at degree 1.
+            if FAIL_WORKER.load(Ordering::Relaxed) == 0 {
+                panic!("injected morsel failure (worker 0)");
+            }
             work(ex, 0..n, report, state);
             return Ok(Vec::new());
         }
@@ -312,7 +319,7 @@ impl Morsels {
 }
 
 /// Best-effort panic-payload text.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -25,7 +25,7 @@ pub(crate) type Gathered = Vec<Result<Response, String>>;
 /// The precedence-ordered failure outcomes shared by every request
 /// shape: unavailability, then error, then overload. `None` means all
 /// shards produced an admissible reply.
-pub(crate) fn failures(parts: &Gathered) -> Option<Response> {
+fn failures(parts: &Gathered) -> Option<Response> {
     for (i, p) in parts.iter().enumerate() {
         if let Err(detail) = p {
             return Some(Response::ShardUnavailable {
@@ -60,22 +60,10 @@ pub(crate) fn failures(parts: &Gathered) -> Option<Response> {
 }
 
 /// A shard answered with a response shape the request cannot produce.
-pub(crate) fn out_of_protocol(shard: usize, got: &Response) -> Response {
-    let tag = match got {
-        Response::SessionOpened { .. } => "SessionOpened",
-        Response::QueryOk { .. } => "QueryOk",
-        Response::Overloaded { .. } => "Overloaded",
-        Response::DeadlineExceeded { .. } => "DeadlineExceeded",
-        Response::SessionClosed { .. } => "SessionClosed",
-        Response::Error { .. } => "Error",
-        Response::UpdateOk { .. } => "UpdateOk",
-        Response::Committed { .. } => "Committed",
-        Response::Aborted { .. } => "Aborted",
-        Response::RolledBack { .. } => "RolledBack",
-        Response::ScatterOk { .. } => "ScatterOk",
-        Response::ShardUnavailable { .. } => "ShardUnavailable",
-        Response::ShardsAborted { .. } => "ShardsAborted",
-    };
+fn out_of_protocol(shard: usize, got: &Response) -> Response {
+    // The variant's name is the head of its derived `Debug` rendering.
+    let rendered = format!("{got:?}");
+    let tag = rendered.split([' ', '{']).next().unwrap_or_default();
     Response::Error {
         msg: format!("shard {shard} answered out of protocol: {tag}"),
     }
@@ -94,28 +82,65 @@ fn deadline(parts: &Gathered) -> Option<Response> {
     worst.map(|elapsed_nanos| Response::DeadlineExceeded { elapsed_nanos })
 }
 
+/// The skeleton every merge goes through: the shared failures, then —
+/// for engine work — a fired deadline, then the replies folded into
+/// `acc` in shard order. `Err` is the response that ends the gather
+/// early: a failure, a deadline, or the first reply `fold` has no place
+/// for (`None`), reported as out of protocol.
+fn gather<A>(
+    parts: &Gathered,
+    engine_work: bool,
+    mut acc: A,
+    fold: impl Fn(A, u32, &Response) -> Option<A>,
+) -> Result<A, Response> {
+    if let Some(fail) = failures(parts) {
+        return Err(fail);
+    }
+    if engine_work {
+        if let Some(late) = deadline(parts) {
+            return Err(late);
+        }
+    }
+    // `failures` has answered for every shard that sent no reply.
+    for (i, reply) in parts.iter().enumerate() {
+        if let Ok(reply) = reply {
+            acc = fold(acc, i as u32, reply).ok_or_else(|| out_of_protocol(i, reply))?;
+        }
+    }
+    Ok(acc)
+}
+
+/// Merges a gathered `Hello` into the per-shard session ids, in shard
+/// order.
+pub(crate) fn merge_hello(parts: &Gathered) -> Result<Vec<u64>, Response> {
+    gather(parts, false, Vec::new(), |mut sessions, _, reply| {
+        let Response::SessionOpened { session } = reply else {
+            return None;
+        };
+        sessions.push(*session);
+        Some(sessions)
+    })
+}
+
 /// Merges a gathered query (or chain) into one `QueryOk` — or, for a
 /// scattered request, a `ScatterOk` that keeps the per-shard partials
 /// as the audit trail.
 pub(crate) fn merge_query(parts: &Gathered, scatter: bool) -> Response {
-    if let Some(fail) = failures(parts) {
-        return fail;
-    }
-    if let Some(resp) = deadline(parts) {
-        return resp;
-    }
-    let mut oks = Vec::with_capacity(parts.len());
-    for (i, p) in parts.iter().enumerate() {
-        match p {
-            Ok(Response::QueryOk { results, stat }) => oks.push(PartialStat {
-                shard: i as u32,
-                results: *results,
-                stat: (**stat).clone(),
-            }),
-            Ok(other) => return out_of_protocol(i, other),
-            Err(_) => unreachable!("unavailability already handled"),
-        }
-    }
+    let gathered = gather(parts, true, Vec::new(), |mut oks, shard, reply| {
+        let Response::QueryOk { results, stat } = reply else {
+            return None;
+        };
+        oks.push(PartialStat {
+            shard,
+            results: *results,
+            stat: (**stat).clone(),
+        });
+        Some(oks)
+    });
+    let oks = match gathered {
+        Ok(oks) => oks,
+        Err(early) => return early,
+    };
     let results = oks.iter().map(|p| p.results).sum();
     let stat = merge_stats(oks.iter().map(|p| &p.stat)).expect("gather is never empty");
     if scatter {
@@ -134,27 +159,24 @@ pub(crate) fn merge_query(parts: &Gathered, scatter: bool) -> Response {
 
 /// Merges a gathered update: rewritten rows sum, stats merge.
 pub(crate) fn merge_update(parts: &Gathered) -> Response {
-    if let Some(fail) = failures(parts) {
-        return fail;
-    }
-    if let Some(resp) = deadline(parts) {
-        return resp;
-    }
-    let mut updated = 0;
-    let mut stats = Vec::with_capacity(parts.len());
-    for (i, p) in parts.iter().enumerate() {
-        match p {
-            Ok(Response::UpdateOk { updated: u, stat }) => {
-                updated += *u;
-                stats.push((**stat).clone());
-            }
-            Ok(other) => return out_of_protocol(i, other),
-            Err(_) => unreachable!("unavailability already handled"),
-        }
-    }
-    Response::UpdateOk {
-        updated,
-        stat: Box::new(merge_stats(stats.iter()).expect("gather is never empty")),
+    let gathered = gather(
+        parts,
+        true,
+        (0, Vec::new()),
+        |(sum, mut stats), _, reply| {
+            let Response::UpdateOk { updated, stat } = reply else {
+                return None;
+            };
+            stats.push((**stat).clone());
+            Some((sum + updated, stats))
+        },
+    );
+    match gathered {
+        Ok((updated, stats)) => Response::UpdateOk {
+            updated,
+            stat: Box::new(merge_stats(stats.iter()).expect("gather is never empty")),
+        },
+        Err(early) => early,
     }
 }
 
@@ -163,81 +185,70 @@ pub(crate) fn merge_update(parts: &Gathered) -> Response {
 /// first-committer-wins loss → `ShardsAborted` naming the shards that
 /// did publish and, per losing shard, the conflict that beat it.
 pub(crate) fn merge_commit(parts: &Gathered) -> Response {
-    if let Some(fail) = failures(parts) {
-        return fail;
-    }
-    let mut committed = Vec::new();
-    let mut aborts = Vec::new();
-    let (mut epoch, mut pages) = (0u64, 0u64);
-    for (i, p) in parts.iter().enumerate() {
-        match p {
-            Ok(Response::Committed { epoch: e, pages: n }) => {
-                committed.push(i as u32);
-                epoch = epoch.max(*e);
-                pages += *n;
+    let init = (Vec::new(), Vec::new(), 0u64, 0u64);
+    let gathered = gather(
+        parts,
+        false,
+        init,
+        |(mut committed, mut aborts, epoch, pages), shard, reply| match reply {
+            Response::Committed { epoch: e, pages: n } => {
+                committed.push(shard);
+                Some((committed, aborts, epoch.max(*e), pages + n))
             }
-            Ok(Response::Aborted {
+            Response::Aborted {
                 conflict_file,
                 conflict_epoch,
-            }) => aborts.push(ShardAbort {
-                shard: i as u32,
-                conflict_file: conflict_file.clone(),
-                conflict_epoch: *conflict_epoch,
-            }),
-            Ok(other) => return out_of_protocol(i, other),
-            Err(_) => unreachable!("unavailability already handled"),
-        }
-    }
-    if aborts.is_empty() {
-        Response::Committed { epoch, pages }
-    } else {
-        Response::ShardsAborted { committed, aborts }
+            } => {
+                aborts.push(ShardAbort {
+                    shard,
+                    conflict_file: conflict_file.clone(),
+                    conflict_epoch: *conflict_epoch,
+                });
+                Some((committed, aborts, epoch, pages))
+            }
+            _ => None,
+        },
+    );
+    match gathered {
+        Ok((_, aborts, epoch, pages)) if aborts.is_empty() => Response::Committed { epoch, pages },
+        Ok((committed, aborts, ..)) => Response::ShardsAborted { committed, aborts },
+        Err(early) => early,
     }
 }
 
 /// Merges a gathered rollback: discarded pages sum.
 pub(crate) fn merge_abort(parts: &Gathered) -> Response {
-    if let Some(fail) = failures(parts) {
-        return fail;
+    let gathered = gather(parts, false, 0, |sum, _, reply| match reply {
+        Response::RolledBack { discarded_pages } => Some(sum + discarded_pages),
+        _ => None,
+    });
+    match gathered {
+        Ok(discarded_pages) => Response::RolledBack { discarded_pages },
+        Err(early) => early,
     }
-    let mut discarded_pages = 0;
-    for (i, p) in parts.iter().enumerate() {
-        match p {
-            Ok(Response::RolledBack {
-                discarded_pages: n, ..
-            }) => discarded_pages += *n,
-            Ok(other) => return out_of_protocol(i, other),
-            Err(_) => unreachable!("unavailability already handled"),
-        }
-    }
-    Response::RolledBack { discarded_pages }
 }
 
 /// Merges a gathered close: the teardown counters sum.
 pub(crate) fn merge_close(parts: &Gathered) -> Response {
-    if let Some(fail) = failures(parts) {
-        return fail;
-    }
-    let (mut drained, mut leaked, mut uncommitted) = (0u64, 0u64, 0u64);
-    for (i, p) in parts.iter().enumerate() {
-        match p {
-            Ok(Response::SessionClosed {
-                drained_handles,
-                leaked_handles,
-                uncommitted_pages,
-            }) => {
-                drained += *drained_handles;
-                leaked += *leaked_handles;
-                uncommitted += *uncommitted_pages;
-            }
-            Ok(other) => return out_of_protocol(i, other),
-            Err(_) => unreachable!("unavailability already handled"),
-        }
-    }
-    Response::SessionClosed {
-        drained_handles: drained,
-        leaked_handles: leaked,
-        uncommitted_pages: uncommitted,
+    let gathered = gather(parts, false, [0u64; 3], |[d, l, u], _, reply| match reply {
+        Response::SessionClosed {
+            drained_handles,
+            leaked_handles,
+            uncommitted_pages,
+        } => Some([
+            d + drained_handles,
+            l + leaked_handles,
+            u + uncommitted_pages,
+        ]),
+        _ => None,
+    });
+    match gathered {
+        Ok([drained_handles, leaked_handles, uncommitted_pages]) => Response::SessionClosed {
+            drained_handles,
+            leaked_handles,
+            uncommitted_pages,
+        },
+        Err(early) => early,
     }
 }
 

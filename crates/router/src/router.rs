@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use tq_server::proto::{read_frame, write_frame, Request, Response, SHARD_SELF};
+use tq_server::proto::{read_frame, serve_frames, write_frame, Request, Response, SHARD_SELF};
 use tq_server::{DuplexStream, Server, ServerConfig};
 use tq_workload::{partition_database, Database};
 
@@ -237,75 +237,56 @@ fn open_link(endpoint: &ShardEndpoint) -> Link {
     }
 }
 
-/// One client connection: the same strict request→response loop as a
-/// shard's `serve_conn`, with fan-out in the middle.
-fn route_conn<S: Read + Write>(inner: &Arc<RouterInner>, mut client: S) {
+/// One client connection: the same request→response loop as a shard's
+/// own connections, with fan-out in the middle.
+fn route_conn<S: Read + Write>(inner: &RouterInner, client: S) {
     let mut links: Vec<Link> = inner.endpoints.iter().map(open_link).collect();
-    loop {
-        let payload = match read_frame(&mut client) {
-            Ok(p) => p,
-            Err(_) => return,
-        };
-        let resp = match Request::decode(&payload) {
-            Ok(req) => handle_request(inner, &mut links, req),
-            Err(e) => Response::Error {
-                msg: format!("bad request: {e}"),
-            },
-        };
+    serve_frames(client, |req| {
+        let resp = handle_request(inner, &mut links, req);
         if matches!(resp, Response::ShardUnavailable { .. }) {
             inner
                 .stats
                 .shard_unavailable
                 .fetch_add(1, Ordering::Relaxed);
         }
-        if write_frame(&mut client, &resp.encode()).is_err() {
-            return;
-        }
-    }
+        resp
+    });
 }
 
-/// Writes the per-shard requests to every live link, then reads the
-/// replies back in shard order. The two phases are what makes this a
-/// scatter-gather rather than N sequential round trips: every shard
-/// is working while the router waits on the first reply. A failed
-/// link is marked `Down` and reported — but the gather keeps draining
-/// the other links so each one stays in request/response lockstep.
-fn fan_out(links: &mut [Link], reqs: &[Request]) -> merge::Gathered {
-    debug_assert_eq!(links.len(), reqs.len());
+/// Writes each shard's request (`req_for(shard)`; `None` skips the
+/// shard) to every live link, then reads the replies back in shard
+/// order. The two phases are what makes this a scatter-gather rather
+/// than N sequential round trips: every shard is working while the
+/// router waits on the first reply. A failed link is marked `Down` and
+/// reported — but the gather keeps draining the other links so each one
+/// stays in request/response lockstep.
+fn fan_out(links: &mut [Link], req_for: impl Fn(usize) -> Option<Request>) -> merge::Gathered {
     let mut wrote = vec![false; links.len()];
-    for i in 0..links.len() {
-        if let Link::Up(conn) = &mut links[i] {
-            match write_frame(conn, &reqs[i].encode()) {
+    for (i, link) in links.iter_mut().enumerate() {
+        if let (Link::Up(conn), Some(req)) = (&mut *link, req_for(i)) {
+            match write_frame(conn, &req.encode()) {
                 Ok(()) => wrote[i] = true,
-                Err(e) => links[i] = Link::Down(format!("write failed: {e}")),
+                Err(e) => *link = Link::Down(format!("write failed: {e}")),
             }
         }
     }
     let mut out = Vec::with_capacity(links.len());
-    for i in 0..links.len() {
-        if !wrote[i] {
-            let detail = match &links[i] {
-                Link::Down(d) => d.clone(),
-                Link::Up(_) => unreachable!("every live link was written"),
-            };
-            out.push(Err(detail));
-            continue;
-        }
-        let Link::Up(conn) = &mut links[i] else {
-            unreachable!("wrote[i] implies the link was up");
+    for (link, wrote) in links.iter_mut().zip(wrote) {
+        let reply = match link {
+            Link::Up(conn) if wrote => read_frame(conn)
+                .map_err(|e| format!("read failed: {e}"))
+                .and_then(|payload| {
+                    Response::decode(&payload).map_err(|e| format!("bad shard payload: {e}"))
+                }),
+            Link::Up(_) => Err("not asked".into()),
+            Link::Down(detail) => Err(detail.clone()),
         };
-        let reply = read_frame(conn)
-            .map_err(|e| format!("read failed: {e}"))
-            .and_then(|payload| {
-                Response::decode(&payload).map_err(|e| format!("bad shard payload: {e}"))
-            });
-        match reply {
-            Ok(resp) => out.push(Ok(resp)),
-            Err(detail) => {
-                links[i] = Link::Down(detail.clone());
-                out.push(Err(detail));
+        if wrote {
+            if let Err(detail) = &reply {
+                *link = Link::Down(detail.clone());
             }
         }
+        out.push(reply);
     }
     out
 }
@@ -334,112 +315,48 @@ impl Drop for Gate<'_> {
     }
 }
 
-fn shard_sessions(inner: &RouterInner, session: u64) -> Option<Vec<u64>> {
-    inner.sessions.lock().unwrap().get(&session).cloned()
-}
-
-fn unknown_session(session: u64) -> Response {
-    Response::Error {
-        msg: format!("unknown session {session}"),
-    }
-}
-
 fn handle_request(inner: &RouterInner, links: &mut [Link], req: Request) -> Response {
     match req {
-        Request::Hello { mode } => {
-            let reqs = vec![Request::Hello { mode }; links.len()];
-            let parts = fan_out(links, &reqs);
-            if let Some(fail) = merge::failures(&parts) {
-                return fail;
-            }
-            let mut per_shard = Vec::with_capacity(parts.len());
-            for (i, p) in parts.iter().enumerate() {
-                match p {
-                    Ok(Response::SessionOpened { session }) => per_shard.push(*session),
-                    Ok(other) => return merge::out_of_protocol(i, other),
-                    Err(_) => unreachable!("unavailability already handled"),
+        Request::Hello { .. } => {
+            let parts = fan_out(links, |_| Some(req.clone()));
+            match merge::merge_hello(&parts) {
+                Ok(per_shard) => {
+                    let session = inner.next_session.fetch_add(1, Ordering::Relaxed);
+                    inner.sessions.lock().unwrap().insert(session, per_shard);
+                    Response::SessionOpened { session }
+                }
+                Err(fail) => {
+                    // Each shard that did open holds a pinned database
+                    // clone under an id no client will ever learn:
+                    // close it. The replies only keep the links in
+                    // lockstep.
+                    fan_out(links, |i| match parts[i] {
+                        Ok(Response::SessionOpened { session }) => Some(Request::Close { session }),
+                        _ => None,
+                    });
+                    fail
                 }
             }
-            let session = inner.next_session.fetch_add(1, Ordering::Relaxed);
-            inner.sessions.lock().unwrap().insert(session, per_shard);
-            Response::SessionOpened { session }
         }
-        Request::Query(spec) => gathered_query(inner, links, spec, false),
+        Request::Query(q) => forward(inner, links, &req, q.session, |p| {
+            merge::merge_query(p, false)
+        }),
         // A router never forwards Scatter itself (a shard would answer
         // with a nested single-partial ScatterOk): it fans out plain
         // queries and builds the partial list from the gather.
-        Request::Scatter(spec) => gathered_query(inner, links, spec, true),
-        Request::Chain(spec) => {
-            let Some(sessions) = shard_sessions(inner, spec.session) else {
-                return unknown_session(spec.session);
-            };
-            let Some(_gate) = admit(inner) else {
-                return router_shed(inner);
-            };
-            let reqs: Vec<Request> = sessions
-                .iter()
-                .map(|&s| {
-                    let mut q = spec;
-                    q.session = s;
-                    Request::Chain(q)
-                })
-                .collect();
-            merge::merge_query(&fan_out(links, &reqs), false)
+        Request::Scatter(q) => forward(inner, links, &Request::Query(q), q.session, |p| {
+            merge::merge_query(p, true)
+        }),
+        Request::Chain(q) => forward(inner, links, &req, q.session, |p| {
+            merge::merge_query(p, false)
+        }),
+        Request::Update { session, .. } => {
+            forward(inner, links, &req, session, merge::merge_update)
         }
-        Request::Update {
-            session,
-            target,
-            sel_pct,
-            delta,
-            deadline_nanos,
-        } => {
-            let Some(sessions) = shard_sessions(inner, session) else {
-                return unknown_session(session);
-            };
-            let Some(_gate) = admit(inner) else {
-                return router_shed(inner);
-            };
-            let reqs: Vec<Request> = sessions
-                .iter()
-                .map(|&s| Request::Update {
-                    session: s,
-                    target,
-                    sel_pct,
-                    delta,
-                    deadline_nanos,
-                })
-                .collect();
-            merge::merge_update(&fan_out(links, &reqs))
-        }
-        Request::Commit { session } => {
-            let Some(sessions) = shard_sessions(inner, session) else {
-                return unknown_session(session);
-            };
-            let reqs: Vec<Request> = sessions
-                .iter()
-                .map(|&s| Request::Commit { session: s })
-                .collect();
-            merge::merge_commit(&fan_out(links, &reqs))
-        }
-        Request::Abort { session } => {
-            let Some(sessions) = shard_sessions(inner, session) else {
-                return unknown_session(session);
-            };
-            let reqs: Vec<Request> = sessions
-                .iter()
-                .map(|&s| Request::Abort { session: s })
-                .collect();
-            merge::merge_abort(&fan_out(links, &reqs))
-        }
+        Request::Commit { session } => forward(inner, links, &req, session, merge::merge_commit),
+        Request::Abort { session } => forward(inner, links, &req, session, merge::merge_abort),
         Request::Close { session } => {
-            let Some(sessions) = shard_sessions(inner, session) else {
-                return unknown_session(session);
-            };
-            let reqs: Vec<Request> = sessions
-                .iter()
-                .map(|&s| Request::Close { session: s })
-                .collect();
-            let resp = merge::merge_close(&fan_out(links, &reqs));
+            let resp = forward(inner, links, &req, session, merge::merge_close);
             // The mapping is gone either way: a half-closed session is
             // unusable, and keeping it would leak map entries.
             inner.sessions.lock().unwrap().remove(&session);
@@ -448,41 +365,34 @@ fn handle_request(inner: &RouterInner, links: &mut [Link], req: Request) -> Resp
     }
 }
 
-fn gathered_query(
+/// The one way a session-addressed request crosses the router: look the
+/// session's shard sessions up, pass the admission gate if the request
+/// is engine work (queries, chains, updates — bookkeeping is never
+/// shed), re-address the request to each shard, fan out, merge.
+fn forward(
     inner: &RouterInner,
     links: &mut [Link],
-    spec: tq_server::QuerySpec,
-    scatter: bool,
+    req: &Request,
+    session: u64,
+    merge: fn(&merge::Gathered) -> Response,
 ) -> Response {
-    let Some(sessions) = shard_sessions(inner, spec.session) else {
-        return unknown_session(spec.session);
+    let Some(sessions) = inner.sessions.lock().unwrap().get(&session).cloned() else {
+        return Response::Error {
+            msg: format!("unknown session {session}"),
+        };
     };
-    let Some(_gate) = admit(inner) else {
-        return router_shed(inner);
-    };
-    let reqs: Vec<Request> = sessions
-        .iter()
-        .map(|&s| {
-            let mut q = spec;
-            q.session = s;
-            Request::Query(q)
-        })
-        .collect();
-    merge::merge_query(&fan_out(links, &reqs), scatter)
-}
-
-fn admit(inner: &RouterInner) -> Option<Gate<'_>> {
-    let gate = Gate::try_enter(inner);
-    if gate.is_some() {
+    let _gate = if req.work().is_some() {
+        let Some(gate) = Gate::try_enter(inner) else {
+            inner.stats.shed_router.fetch_add(1, Ordering::Relaxed);
+            return Response::Overloaded {
+                queue_depth: inner.max_inflight as u32,
+                shard: SHARD_SELF,
+            };
+        };
         inner.stats.routed.fetch_add(1, Ordering::Relaxed);
-    }
-    gate
-}
-
-fn router_shed(inner: &RouterInner) -> Response {
-    inner.stats.shed_router.fetch_add(1, Ordering::Relaxed);
-    Response::Overloaded {
-        queue_depth: inner.max_inflight as u32,
-        shard: SHARD_SELF,
-    }
+        Some(gate)
+    } else {
+        None
+    };
+    merge(&fan_out(links, |i| Some(req.for_session(sessions[i]))))
 }

@@ -6,12 +6,18 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tq_query::JoinAlgo;
+use tq_query::{JoinAlgo, JoinOptions, PlannerPolicy};
 use tq_router::{Router, RouterConfig, ShardEndpoint};
+use tq_server::measure::{
+    chain_stat_record, measure_update_current, run_chain_cell, run_join_cell, stat_record,
+    update_stat_record,
+};
 use tq_server::proto::{read_frame, write_frame, Request, Response};
 use tq_server::{
-    CacheMode, Client, ClientError, QuerySpec, Server, ServerConfig, UpdateTarget, SHARD_SELF,
+    CacheMode, ChainQuerySpec, Client, ClientError, DuplexStream, QuerySpec, Server, ServerConfig,
+    UpdateTarget, Work, SHARD_SELF,
 };
+use tq_statsdb::{merge_stats, Stat};
 use tq_workload::{build, partition_database, BuildConfig, Database, DbShape, Organization};
 
 fn base_db() -> Database {
@@ -89,6 +95,9 @@ fn unreachable_shard_is_typed_not_hung() {
     );
 
     assert_eq!(router.stats().shard_unavailable, 2);
+    // Each failed Hello did open a session on the live shard; the
+    // router closed it again rather than leaking the pinned clone.
+    assert_eq!(live.open_sessions(), 0);
     drop(conn);
     router.shutdown();
     Arc::try_unwrap(live).ok().expect("sole owner").shutdown();
@@ -296,6 +305,183 @@ fn unknown_session_is_a_typed_error() {
         }
         other => panic!("got {other:?}"),
     }
+    drop(client);
+    router.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Every kind of engine work × every outcome, through two shards.
+// ---------------------------------------------------------------------
+
+/// Sends `work` through the client call of its kind.
+fn send(
+    client: &mut Client<DuplexStream>,
+    session: u64,
+    work: Work,
+    deadline_nanos: u64,
+) -> Result<Response, ClientError> {
+    match work {
+        Work::Join {
+            algo,
+            pat_pct,
+            prov_pct,
+        } => client.query(QuerySpec {
+            session,
+            algo,
+            pat_pct,
+            prov_pct,
+            deadline_nanos,
+        }),
+        Work::Chain {
+            depth,
+            pat_pct,
+            prov_pct,
+            policy,
+        } => client.chain(ChainQuerySpec {
+            session,
+            depth,
+            pat_pct,
+            prov_pct,
+            policy,
+            deadline_nanos,
+        }),
+        Work::Update {
+            target,
+            sel_pct,
+            delta,
+        } => client.update(session, target, sel_pct, delta, deadline_nanos),
+    }
+}
+
+/// What each shard, measured alone and cold by the in-process
+/// measurement functions, records for `work` — summed and merged the
+/// way the router must: `(count, Stat)`.
+fn merged_oracle(shards: &[Database], work: Work) -> (u64, Stat) {
+    let mut count = 0;
+    let parts: Vec<Stat> = shards
+        .iter()
+        .map(|shard| {
+            let mut db = shard.clone();
+            let (n, stat) = match work {
+                Work::Join {
+                    algo,
+                    pat_pct,
+                    prov_pct,
+                } => {
+                    let opts = JoinOptions::default();
+                    let cell = run_join_cell(&mut db, algo, pat_pct, prov_pct, &opts);
+                    (cell.results, stat_record(&db, &cell, pat_pct, prov_pct))
+                }
+                Work::Chain {
+                    depth,
+                    pat_pct,
+                    prov_pct,
+                    policy,
+                } => {
+                    let cell =
+                        run_chain_cell(&mut db, depth, pat_pct, prov_pct, policy, None).unwrap();
+                    let stat = chain_stat_record(&db, &cell, depth, pat_pct, prov_pct);
+                    (cell.results, stat)
+                }
+                Work::Update {
+                    target,
+                    sel_pct,
+                    delta,
+                } => {
+                    db.store.cold_restart();
+                    let cell = measure_update_current(&mut db, target, sel_pct, delta, None);
+                    let stat = update_stat_record(&db, &cell, sel_pct, delta, true);
+                    (cell.outcome.updated, stat)
+                }
+            };
+            count += n;
+            stat
+        })
+        .collect();
+    (count, merge_stats(&parts).expect("at least one shard"))
+}
+
+/// The `(count, Stat)` of an ok reply, whichever shape it came in.
+fn ok_reply(resp: Response) -> (u64, Stat) {
+    match resp {
+        Response::QueryOk { results, stat } => (results, *stat),
+        Response::UpdateOk { updated, stat } => (updated, *stat),
+        other => panic!("expected an ok reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_kind_of_work_meets_every_outcome_through_the_router() {
+    let shards = partition_database(&base_db(), 2);
+    let kinds = [
+        Work::Join {
+            algo: JoinAlgo::Chj,
+            pat_pct: 10,
+            prov_pct: 90,
+        },
+        Work::Chain {
+            depth: 3,
+            pat_pct: 30,
+            prov_pct: 60,
+            policy: PlannerPolicy::Estimate,
+        },
+        Work::Update {
+            target: UpdateTarget::Patients,
+            sel_pct: 10,
+            delta: 1,
+        },
+    ];
+    let router = Router::start(shards.clone(), RouterConfig::default());
+    let mut client = Client::new(router.connect_in_proc());
+    for work in kinds {
+        let want = merged_oracle(&shards, work);
+        let session = client.open_session(CacheMode::Cold).unwrap();
+
+        // A 1ns budget fires on every shard; the merged reply is the
+        // typed deadline, and each shard refilled its session...
+        let resp = send(&mut client, session, work, 1).unwrap();
+        assert!(
+            matches!(resp, Response::DeadlineExceeded { .. }),
+            "{work:?}: expected DeadlineExceeded, got {resp:?}"
+        );
+        // ...so the same session then answers exactly the merge of the
+        // per-shard oracles.
+        let got = ok_reply(send(&mut client, session, work, 0).unwrap());
+        assert_eq!(got, want, "{work:?}: routed reply drifted from the oracle");
+
+        // An unknown session never reaches a shard.
+        let err = send(&mut client, session + 1_000, work, 0);
+        assert!(
+            matches!(err, Err(ClientError::Server(ref msg)) if msg.contains("unknown session")),
+            "{work:?}: {err:?}"
+        );
+        let (_drained, leaked, _uncommitted) = client.close_session(session).unwrap();
+        assert_eq!(leaked, 0, "{work:?} leaked handles");
+    }
+
+    // Invalid work: every shard refuses it before running anything, the
+    // merged reply is the typed error, and the session stays usable.
+    let session = client.open_session(CacheMode::Cold).unwrap();
+    let bad = Work::Chain {
+        depth: 7,
+        pat_pct: 30,
+        prov_pct: 60,
+        policy: PlannerPolicy::Estimate,
+    };
+    let err = send(&mut client, session, bad, 0);
+    assert!(
+        matches!(err, Err(ClientError::Server(ref msg)) if msg.contains("depth 7")),
+        "{err:?}"
+    );
+    let got = ok_reply(send(&mut client, session, kinds[1], 0).unwrap());
+    assert_eq!(got, merged_oracle(&shards, kinds[1]));
+    client.close_session(session).unwrap();
+
+    for shard in router.shards() {
+        assert_eq!(shard.open_sessions(), 0);
+        assert_eq!(shard.stats().queries_deadline_exceeded, 3);
+    }
+    assert_eq!(router.stats().shard_unavailable, 0);
     drop(client);
     router.shutdown();
 }

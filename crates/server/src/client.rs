@@ -72,46 +72,36 @@ impl<S: Read + Write> Client<S> {
         }
     }
 
+    /// Sends `req` and sorts the reply: `Error` is a
+    /// [`ClientError::Server`], an [`admissible`] reply is the call's
+    /// ordinary outcome, anything else is protocol confusion.
+    fn outcome(&mut self, req: &Request, what: &'static str) -> Result<Response, ClientError> {
+        match self.call(req)? {
+            Response::Error { msg } => Err(ClientError::Server(msg)),
+            resp if admissible(req, &resp) => Ok(resp),
+            _ => Err(ClientError::Unexpected(what)),
+        }
+    }
+
     /// Runs one query. The caller matches on the response: `QueryOk`,
     /// `Overloaded`, `DeadlineExceeded`, and (behind a router)
     /// `ShardUnavailable` are all ordinary outcomes of a served query,
     /// not client errors.
     pub fn query(&mut self, spec: QuerySpec) -> Result<Response, ClientError> {
-        match self.call(&Request::Query(spec))? {
-            resp @ (Response::QueryOk { .. }
-            | Response::Overloaded { .. }
-            | Response::DeadlineExceeded { .. }
-            | Response::ShardUnavailable { .. }) => Ok(resp),
-            Response::Error { msg } => Err(ClientError::Server(msg)),
-            _ => Err(ClientError::Unexpected("Query")),
-        }
+        self.outcome(&Request::Query(spec), "Query")
     }
 
     /// Runs one query with per-shard partials in the reply. A plain
     /// server answers with a single self-partial; a router answers
     /// with one partial per engine shard plus the merged totals.
     pub fn scatter(&mut self, spec: QuerySpec) -> Result<Response, ClientError> {
-        match self.call(&Request::Scatter(spec))? {
-            resp @ (Response::ScatterOk { .. }
-            | Response::Overloaded { .. }
-            | Response::DeadlineExceeded { .. }
-            | Response::ShardUnavailable { .. }) => Ok(resp),
-            Response::Error { msg } => Err(ClientError::Server(msg)),
-            _ => Err(ClientError::Unexpected("Scatter")),
-        }
+        self.outcome(&Request::Scatter(spec), "Scatter")
     }
 
     /// Runs one N-way chain query. Same outcome vocabulary as
     /// [`Client::query`] — a served chain answers `QueryOk`.
     pub fn chain(&mut self, spec: ChainQuerySpec) -> Result<Response, ClientError> {
-        match self.call(&Request::Chain(spec))? {
-            resp @ (Response::QueryOk { .. }
-            | Response::Overloaded { .. }
-            | Response::DeadlineExceeded { .. }
-            | Response::ShardUnavailable { .. }) => Ok(resp),
-            Response::Error { msg } => Err(ClientError::Server(msg)),
-            _ => Err(ClientError::Unexpected("Chain")),
-        }
+        self.outcome(&Request::Chain(spec), "Chain")
     }
 
     /// Runs one update statement. Like [`Client::query`], `UpdateOk`,
@@ -124,34 +114,21 @@ impl<S: Read + Write> Client<S> {
         delta: i32,
         deadline_nanos: u64,
     ) -> Result<Response, ClientError> {
-        match self.call(&Request::Update {
+        let req = Request::Update {
             session,
             target,
             sel_pct,
             delta,
             deadline_nanos,
-        })? {
-            resp @ (Response::UpdateOk { .. }
-            | Response::Overloaded { .. }
-            | Response::DeadlineExceeded { .. }
-            | Response::ShardUnavailable { .. }) => Ok(resp),
-            Response::Error { msg } => Err(ClientError::Server(msg)),
-            _ => Err(ClientError::Unexpected("Update")),
-        }
+        };
+        self.outcome(&req, "Update")
     }
 
     /// Commits the session's writes. `Committed`, `Aborted`, and
     /// (behind a router) `ShardsAborted` are all ordinary outcomes —
     /// an abort is the validation protocol working, not a failure.
     pub fn commit(&mut self, session: u64) -> Result<Response, ClientError> {
-        match self.call(&Request::Commit { session })? {
-            resp @ (Response::Committed { .. }
-            | Response::Aborted { .. }
-            | Response::ShardsAborted { .. }
-            | Response::ShardUnavailable { .. }) => Ok(resp),
-            Response::Error { msg } => Err(ClientError::Server(msg)),
-            _ => Err(ClientError::Unexpected("Commit")),
-        }
+        self.outcome(&Request::Commit { session }, "Commit")
     }
 
     /// Discards the session's uncommitted writes; returns the number of
@@ -176,5 +153,25 @@ impl<S: Read + Write> Client<S> {
             Response::Error { msg } => Err(ClientError::Server(msg)),
             _ => Err(ClientError::Unexpected("Close")),
         }
+    }
+}
+
+/// Whether `resp` is an ordinary outcome of `req`: its own ok shape,
+/// or one of the typed ways a request goes unserved — engine work can
+/// be shed or run out of time, and anything can find a shard away.
+fn admissible(req: &Request, resp: &Response) -> bool {
+    match (req, resp) {
+        (Request::Query(_) | Request::Chain(_), Response::QueryOk { .. })
+        | (Request::Scatter(_), Response::ScatterOk { .. })
+        | (Request::Update { .. }, Response::UpdateOk { .. })
+        | (
+            Request::Commit { .. },
+            Response::Committed { .. } | Response::Aborted { .. } | Response::ShardsAborted { .. },
+        )
+        | (_, Response::ShardUnavailable { .. }) => true,
+        (_, Response::Overloaded { .. } | Response::DeadlineExceeded { .. }) => {
+            req.work().is_some()
+        }
+        _ => false,
     }
 }

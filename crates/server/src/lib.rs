@@ -35,7 +35,7 @@ pub mod transport;
 pub use client::{Client, ClientError};
 pub use proto::{
     read_frame, write_frame, CacheMode, ChainQuerySpec, DecodeError, FrameError, PartialStat,
-    QuerySpec, Request, Response, ShardAbort, UpdateTarget, MAX_FRAME, SHARD_SELF,
+    QuerySpec, Request, Response, ShardAbort, UpdateTarget, Work, MAX_FRAME, SHARD_SELF,
 };
 pub use sched::{Overloaded, Scheduler};
 pub use server::{Server, ServerConfig, ServerStatsSnapshot};

@@ -6,7 +6,10 @@
 //! query produces a [`Stat`] byte-identical to the one the figure
 //! harness would record for the same run (the concurrency-equivalence
 //! test in `crates/server/tests/concurrency.rs` pins this). `tq-bench`
-//! re-exports everything under its old names.
+//! re-exports everything under its old names. The per-kind pieces
+//! (`measure_*_current`, `*_stat_record`) are what the harness calls;
+//! [`measure`] strings them into the one entry point the service runs
+//! for any [`Work`], and every record is built by one `Stat` shell.
 
 use tq_index::BTreeIndex;
 use tq_objstore::ClassId;
@@ -25,7 +28,7 @@ use tq_workload::{
     Database,
 };
 
-use crate::proto::UpdateTarget;
+use crate::proto::{CacheMode, UpdateTarget, Work};
 
 /// The paper's §5 join at the given selectivities.
 pub fn join_spec(db: &Database, pat_pct: u32, prov_pct: u32) -> TreeJoinSpec {
@@ -68,28 +71,12 @@ pub fn run_join_cell(
     prov_pct: u32,
     opts: &JoinOptions,
 ) -> JoinCell {
-    run_join_cell_with(db, algo, pat_pct, prov_pct, opts, None)
-}
-
-/// [`run_join_cell`] with cooperative cancellation. A fired token
-/// unwinds out of this call with an [`exec::Cancelled`] payload
-/// (`tq_query::Cancelled`); the database is then in an undefined
-/// cache/handle state and must be discarded — the session layer
-/// replaces it with a fresh snapshot clone.
-pub fn run_join_cell_with(
-    db: &mut Database,
-    algo: JoinAlgo,
-    pat_pct: u32,
-    prov_pct: u32,
-    opts: &JoinOptions,
-    cancel: Option<CancelToken>,
-) -> JoinCell {
     // The cold protocol, spelled out (rather than `measure_cold`) so
     // the end-of-query handle drain can be recorded on the trace: with
     // the `Teardown` row the per-operator counters cover the *whole*
     // measured window and sum exactly to the query-level `Stat`.
     db.store.cold_restart();
-    measure_current(db, algo, pat_pct, prov_pct, opts, cancel)
+    measure_current(db, algo, pat_pct, prov_pct, opts, None)
 }
 
 /// Runs a *warm* join measurement: one cold run primes the caches
@@ -114,6 +101,11 @@ pub fn run_join_cell_warm(
 /// metric reset, run, teardown row. Warm server sessions use this
 /// directly (their caches are primed by earlier queries on the same
 /// session, not by a discarded priming run).
+///
+/// A fired `cancel` token unwinds out of this call with a
+/// [`Cancelled`](tq_query::Cancelled) payload; the database is then in
+/// an undefined cache/handle state and must be discarded — the session
+/// layer replaces it with a fresh snapshot clone.
 pub fn measure_current(
     db: &mut Database,
     algo: JoinAlgo,
@@ -185,8 +177,9 @@ pub fn measure_current_parallel(
     })
 }
 
-/// [`run_join_cell_with`] at an explicit morsel-parallel degree: the
-/// cold protocol (server shutdown first), then a parallel measurement.
+/// [`run_join_cell`] at an explicit morsel-parallel degree, with
+/// cooperative cancellation: the cold protocol (server shutdown first),
+/// then a parallel measurement.
 pub fn run_join_cell_parallel(
     db: &mut Database,
     algo: JoinAlgo,
@@ -281,7 +274,7 @@ pub fn run_chain_cell(
 /// facts, plan, metric reset, run, teardown row — the chain
 /// counterpart of [`measure_current`]. Cancellation unwinds with a
 /// [`Cancelled`](tq_query::Cancelled) payload, after which the
-/// database must be discarded (see [`run_join_cell_with`]).
+/// database must be discarded (see [`measure_current`]).
 pub fn measure_chain_current(
     db: &mut Database,
     spec: &ChainSpec,
@@ -338,44 +331,19 @@ pub fn chain_stat_record(
     if depth >= 3 {
         selectivities.push(("Provider".into(), prov_pct));
     }
-    Stat {
-        numtest: 0, // assigned by the StatsDb
-        query: QueryDesc {
+    stat_shell(
+        db,
+        QueryDesc {
             cold: true,
             projection_type: projection_type.into(),
             selectivities,
             text,
         },
-        database: vec![
-            ExtentDesc {
-                classname: "Provider".into(),
-                size: db.provider_count,
-                associations: vec![("Patient".into(), db.config.shape.mean_fanout())],
-            },
-            ExtentDesc {
-                classname: "Patient".into(),
-                size: db.patient_count,
-                associations: vec![],
-            },
-        ],
-        cluster: db.config.organization.label().into(),
-        algo: format!("CHAIN-{}", cell.policy.label().to_ascii_uppercase()),
-        system: SystemDesc {
-            server_cache_kb: (db.config.cache.server_pages * 4) as u64,
-            client_cache_kb: (db.config.cache.client_pages * 4) as u64,
-            same_workstation: true,
-        },
-        cc_pagefaults: cell.io.client_misses,
-        cc_lookups: cell.io.client_hits + cell.io.client_misses,
-        elapsed_time: cell.secs,
-        rpcs_number: cell.io.sc2cc_read_pages,
-        rpcs_total_mb: cell.io.rpc_total_bytes() as f64 / 1e6,
-        d2sc_read_pages: cell.io.d2sc_read_pages,
-        sc2cc_read_pages: cell.io.sc2cc_read_pages,
-        cc_miss_rate: cell.io.client_miss_rate(),
-        sc_miss_rate: cell.io.server_miss_rate(),
-        operators: operator_rows(&cell.report.trace),
-    }
+        format!("CHAIN-{}", cell.policy.label().to_ascii_uppercase()),
+        cell.secs,
+        &cell.io,
+        &cell.report.trace,
+    )
 }
 
 /// One measured update statement.
@@ -511,44 +479,19 @@ pub fn update_stat_record(
             format!("update Providers set upin = upin + {delta} where upin < {key_limit}"),
         ),
     };
-    Stat {
-        numtest: 0, // assigned by the StatsDb
-        query: QueryDesc {
+    stat_shell(
+        db,
+        QueryDesc {
             cold,
             projection_type: "[]".into(),
             selectivities: vec![(extent.into(), sel_pct)],
             text,
         },
-        database: vec![
-            ExtentDesc {
-                classname: "Provider".into(),
-                size: db.provider_count,
-                associations: vec![("Patient".into(), db.config.shape.mean_fanout())],
-            },
-            ExtentDesc {
-                classname: "Patient".into(),
-                size: db.patient_count,
-                associations: vec![],
-            },
-        ],
-        cluster: db.config.organization.label().into(),
-        algo: "UPDATE".into(),
-        system: SystemDesc {
-            server_cache_kb: (db.config.cache.server_pages * 4) as u64,
-            client_cache_kb: (db.config.cache.client_pages * 4) as u64,
-            same_workstation: true,
-        },
-        cc_pagefaults: cell.io.client_misses,
-        cc_lookups: cell.io.client_hits + cell.io.client_misses,
-        elapsed_time: cell.secs,
-        rpcs_number: cell.io.sc2cc_read_pages,
-        rpcs_total_mb: cell.io.rpc_total_bytes() as f64 / 1e6,
-        d2sc_read_pages: cell.io.d2sc_read_pages,
-        sc2cc_read_pages: cell.io.sc2cc_read_pages,
-        cc_miss_rate: cell.io.client_miss_rate(),
-        sc_miss_rate: cell.io.server_miss_rate(),
-        operators: operator_rows(&cell.outcome.trace),
-    }
+        "UPDATE".into(),
+        cell.secs,
+        &cell.io,
+        &cell.outcome.trace,
+    )
 }
 
 /// Runs `end_of_query` and credits its counter delta to a `Teardown`
@@ -597,9 +540,9 @@ pub fn operator_rows(trace: &ExecTrace) -> Vec<OperatorStat> {
 /// Converts a measured cell into a Figure 3 `Stat` record.
 pub fn stat_record(db: &Database, cell: &JoinCell, pat_pct: u32, prov_pct: u32) -> Stat {
     let spec = join_spec(db, pat_pct, prov_pct);
-    Stat {
-        numtest: 0, // assigned by the StatsDb
-        query: QueryDesc {
+    stat_shell(
+        db,
+        QueryDesc {
             cold: true,
             projection_type: "[p.name, pa.age]".into(),
             selectivities: vec![("Patient".into(), pat_pct), ("Provider".into(), prov_pct)],
@@ -609,6 +552,28 @@ pub fn stat_record(db: &Database, cell: &JoinCell, pat_pct: u32, prov_pct: u32) 
                 spec.child_key_limit, spec.parent_key_limit
             ),
         },
+        cell.algo.label().into(),
+        cell.secs,
+        &cell.io,
+        &cell.report.trace,
+    )
+}
+
+/// The Figure 3 record every kind of work is stored through: `query`
+/// and `algo` say what ran; the extents, clustering and system come off
+/// the database; the counters and operator rows off the measured
+/// window's `secs`, `io` and `trace`.
+fn stat_shell(
+    db: &Database,
+    query: QueryDesc,
+    algo: String,
+    secs: f64,
+    io: &tq_pagestore::IoStats,
+    trace: &ExecTrace,
+) -> Stat {
+    Stat {
+        numtest: 0, // assigned by the StatsDb
+        query,
         database: vec![
             ExtentDesc {
                 classname: "Provider".into(),
@@ -622,21 +587,94 @@ pub fn stat_record(db: &Database, cell: &JoinCell, pat_pct: u32, prov_pct: u32) 
             },
         ],
         cluster: db.config.organization.label().into(),
-        algo: cell.algo.label().into(),
+        algo,
         system: SystemDesc {
             server_cache_kb: (db.config.cache.server_pages * 4) as u64,
             client_cache_kb: (db.config.cache.client_pages * 4) as u64,
             same_workstation: true,
         },
-        cc_pagefaults: cell.io.client_misses,
-        cc_lookups: cell.io.client_hits + cell.io.client_misses,
-        elapsed_time: cell.secs,
-        rpcs_number: cell.io.sc2cc_read_pages,
-        rpcs_total_mb: cell.io.rpc_total_bytes() as f64 / 1e6,
-        d2sc_read_pages: cell.io.d2sc_read_pages,
-        sc2cc_read_pages: cell.io.sc2cc_read_pages,
-        cc_miss_rate: cell.io.client_miss_rate(),
-        sc_miss_rate: cell.io.server_miss_rate(),
-        operators: operator_rows(&cell.report.trace),
+        cc_pagefaults: io.client_misses,
+        cc_lookups: io.client_hits + io.client_misses,
+        elapsed_time: secs,
+        rpcs_number: io.sc2cc_read_pages,
+        rpcs_total_mb: io.rpc_total_bytes() as f64 / 1e6,
+        d2sc_read_pages: io.d2sc_read_pages,
+        sc2cc_read_pages: io.sc2cc_read_pages,
+        cc_miss_rate: io.client_miss_rate(),
+        sc_miss_rate: io.server_miss_rate(),
+        operators: operator_rows(trace),
     }
+}
+
+/// Why [`measure`] produced no `Stat`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MeasureError {
+    /// The work is outside the served vocabulary (a bad chain depth).
+    /// Found before anything ran: the database is untouched.
+    Invalid(String),
+    /// A morsel worker panicked; the measurement window is garbage and
+    /// the database should be discarded.
+    Panicked(MorselPanic),
+}
+
+/// Runs one unit of [`Work`] under a session's cache discipline and
+/// records it: the one path from "what to run" to `(count, Stat)` —
+/// result tuples for a join or chain, rewritten objects for an update —
+/// that the service executes, whatever the kind. Cold mode is the
+/// paper's protocol for every kind: server shutdown, then the measured
+/// window. Cancellation unwinds with a
+/// [`Cancelled`](tq_query::Cancelled) payload (see [`measure_current`]).
+pub fn measure(
+    db: &mut Database,
+    work: &Work,
+    mode: CacheMode,
+    cancel: Option<CancelToken>,
+    degree: usize,
+) -> Result<(u64, Stat), MeasureError> {
+    let cold = mode == CacheMode::Cold;
+    let restart = |db: &mut Database| {
+        if cold {
+            db.store.cold_restart();
+        }
+    };
+    let (count, mut stat) = match *work {
+        Work::Join {
+            algo,
+            pat_pct,
+            prov_pct,
+        } => {
+            restart(db);
+            let opts = JoinOptions::default();
+            let cell = measure_current_parallel(db, algo, pat_pct, prov_pct, &opts, cancel, degree)
+                .map_err(MeasureError::Panicked)?;
+            (cell.results, stat_record(db, &cell, pat_pct, prov_pct))
+        }
+        Work::Chain {
+            depth,
+            pat_pct,
+            prov_pct,
+            policy,
+        } => {
+            // Validation comes before the restart, so invalid work
+            // leaves the session's caches exactly as it found them.
+            let spec =
+                compile_chain_spec(db, depth, pat_pct, prov_pct).map_err(MeasureError::Invalid)?;
+            restart(db);
+            let cell = measure_chain_current(db, &spec, policy, cancel);
+            let stat = chain_stat_record(db, &cell, depth, pat_pct, prov_pct);
+            (cell.results, stat)
+        }
+        Work::Update {
+            target,
+            sel_pct,
+            delta,
+        } => {
+            restart(db);
+            let cell = measure_update_current(db, target, sel_pct, delta, cancel);
+            let stat = update_stat_record(db, &cell, sel_pct, delta, cold);
+            (cell.outcome.updated, stat)
+        }
+    };
+    stat.query.cold = cold;
+    Ok((count, stat))
 }

@@ -87,6 +87,25 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     }
 }
 
+/// One connection, served: a strict request→response loop over frames.
+/// Any framing error (including clean hang-up) ends the connection; a
+/// decodable-but-invalid request gets a `Response::Error` and the
+/// conversation continues. Server and router connections both run
+/// this loop — they differ only in `handle`.
+pub fn serve_frames<S: Read + Write>(mut conn: S, mut handle: impl FnMut(Request) -> Response) {
+    while let Ok(payload) = read_frame(&mut conn) {
+        let resp = match Request::decode(&payload) {
+            Ok(req) => handle(req),
+            Err(e) => Response::Error {
+                msg: format!("bad request: {e}"),
+            },
+        };
+        if write_frame(&mut conn, &resp.encode()).is_err() {
+            return;
+        }
+    }
+}
+
 enum ReadOutcome {
     Full,
     Eof,
@@ -146,9 +165,9 @@ impl std::error::Error for DecodeError {}
 /// Per-session cache discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheMode {
-    /// Every query runs the paper's cold protocol (server shutdown
-    /// before each run): results are position-independent and
-    /// byte-identical to the figure harness.
+    /// Every request — query, chain or update — runs the paper's cold
+    /// protocol (server shutdown before each run): results are
+    /// position-independent and byte-identical to the figure harness.
     Cold,
     /// Caches persist across the session's queries (a warm working
     /// set, the production regime).
@@ -203,6 +222,44 @@ pub struct ChainQuerySpec {
     pub policy: PlannerPolicy,
     /// Simulated-time budget in nanoseconds; `0` means unlimited.
     pub deadline_nanos: u64,
+}
+
+/// What the engine is asked to run, with the addressing (session,
+/// deadline) stripped off: the one value every stage between a decoded
+/// request and its `Stat` — dispatch, execute, measure — is written
+/// against, whatever the kind of work.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Work {
+    /// A 2-way join from the figure grid ([`Request::Query`] and
+    /// [`Request::Scatter`]).
+    Join {
+        /// Join algorithm.
+        algo: JoinAlgo,
+        /// Patient-side selectivity (percent).
+        pat_pct: u32,
+        /// Provider-side selectivity (percent).
+        prov_pct: u32,
+    },
+    /// An N-way binding chain ([`Request::Chain`]).
+    Chain {
+        /// Binding count; validated when measured, not when decoded.
+        depth: u32,
+        /// Patient-side selectivity (percent).
+        pat_pct: u32,
+        /// Provider-side selectivity (percent).
+        prov_pct: u32,
+        /// Join-ordering policy.
+        policy: PlannerPolicy,
+    },
+    /// An update statement ([`Request::Update`]).
+    Update {
+        /// Collection (and statement shape) to update.
+        target: UpdateTarget,
+        /// Fraction of the collection to touch (percent of keys).
+        sel_pct: u32,
+        /// Additive delta.
+        delta: i32,
+    },
 }
 
 /// Client → server messages.
@@ -457,6 +514,14 @@ fn policy_from(code: u8) -> Result<PlannerPolicy, DecodeError> {
     })
 }
 
+fn put_query_spec(out: &mut Vec<u8>, q: &QuerySpec) {
+    put_u64(out, q.session);
+    out.push(algo_code(q.algo));
+    put_u32(out, q.pat_pct);
+    put_u32(out, q.prov_pct);
+    put_u64(out, q.deadline_nanos);
+}
+
 fn put_operator(out: &mut Vec<u8>, op: &OperatorStat) {
     put_str(out, &op.op);
     put_str(out, &op.label);
@@ -514,6 +579,69 @@ fn put_stat(out: &mut Vec<u8>, s: &Stat) {
 }
 
 impl Request {
+    /// The engine work this request asks for, as `(session, work,
+    /// deadline_nanos)` — `None` for session bookkeeping (`Hello`,
+    /// `Close`, `Commit`, `Abort`), which never reaches a worker.
+    pub fn work(&self) -> Option<(u64, Work, u64)> {
+        match *self {
+            Request::Query(q) | Request::Scatter(q) => Some((
+                q.session,
+                Work::Join {
+                    algo: q.algo,
+                    pat_pct: q.pat_pct,
+                    prov_pct: q.prov_pct,
+                },
+                q.deadline_nanos,
+            )),
+            Request::Chain(q) => Some((
+                q.session,
+                Work::Chain {
+                    depth: q.depth,
+                    pat_pct: q.pat_pct,
+                    prov_pct: q.prov_pct,
+                    policy: q.policy,
+                },
+                q.deadline_nanos,
+            )),
+            Request::Update {
+                session,
+                target,
+                sel_pct,
+                delta,
+                deadline_nanos,
+            } => Some((
+                session,
+                Work::Update {
+                    target,
+                    sel_pct,
+                    delta,
+                },
+                deadline_nanos,
+            )),
+            Request::Hello { .. }
+            | Request::Close { .. }
+            | Request::Commit { .. }
+            | Request::Abort { .. } => None,
+        }
+    }
+
+    /// The same request addressed to another session — how a router
+    /// turns a client's request into each shard's. `Hello` names no
+    /// session and comes back unchanged.
+    pub fn for_session(&self, session: u64) -> Request {
+        let mut req = self.clone();
+        match &mut req {
+            Request::Hello { .. } => {}
+            Request::Query(q) | Request::Scatter(q) => q.session = session,
+            Request::Chain(q) => q.session = session,
+            Request::Close { session: s }
+            | Request::Update { session: s, .. }
+            | Request::Commit { session: s }
+            | Request::Abort { session: s } => *s = session,
+        }
+        req
+    }
+
     /// Encodes to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -527,11 +655,7 @@ impl Request {
             }
             Request::Query(q) => {
                 out.push(2);
-                put_u64(&mut out, q.session);
-                out.push(algo_code(q.algo));
-                put_u32(&mut out, q.pat_pct);
-                put_u32(&mut out, q.prov_pct);
-                put_u64(&mut out, q.deadline_nanos);
+                put_query_spec(&mut out, q);
             }
             Request::Close { session } => {
                 out.push(3);
@@ -573,11 +697,7 @@ impl Request {
             }
             Request::Scatter(q) => {
                 out.push(8);
-                put_u64(&mut out, q.session);
-                out.push(algo_code(q.algo));
-                put_u32(&mut out, q.pat_pct);
-                put_u32(&mut out, q.prov_pct);
-                put_u64(&mut out, q.deadline_nanos);
+                put_query_spec(&mut out, q);
             }
         }
         out
@@ -594,13 +714,7 @@ impl Request {
                     other => return Err(DecodeError::BadEnum(other)),
                 },
             },
-            2 => Request::Query(QuerySpec {
-                session: c.u64()?,
-                algo: algo_from(c.u8()?)?,
-                pat_pct: c.u32()?,
-                prov_pct: c.u32()?,
-                deadline_nanos: c.u64()?,
-            }),
+            2 => Request::Query(c.query_spec()?),
             3 => Request::Close { session: c.u64()? },
             4 => Request::Update {
                 session: c.u64()?,
@@ -623,13 +737,7 @@ impl Request {
                 policy: policy_from(c.u8()?)?,
                 deadline_nanos: c.u64()?,
             }),
-            8 => Request::Scatter(QuerySpec {
-                session: c.u64()?,
-                algo: algo_from(c.u8()?)?,
-                pat_pct: c.u32()?,
-                prov_pct: c.u32()?,
-                deadline_nanos: c.u64()?,
-            }),
+            8 => Request::Scatter(c.query_spec()?),
             other => return Err(DecodeError::BadTag(other)),
         };
         c.finish()?;
@@ -881,6 +989,16 @@ impl<'a> Cursor<'a> {
             return Err(DecodeError::Truncated);
         }
         Ok(n)
+    }
+
+    fn query_spec(&mut self) -> Result<QuerySpec, DecodeError> {
+        Ok(QuerySpec {
+            session: self.u64()?,
+            algo: algo_from(self.u8()?)?,
+            pat_pct: self.u32()?,
+            prov_pct: self.u32()?,
+            deadline_nanos: self.u64()?,
+        })
     }
 
     fn operator(&mut self) -> Result<OperatorStat, DecodeError> {

@@ -22,6 +22,7 @@
 //! into a queue that was full when they were rejected.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -176,8 +177,13 @@ fn worker_loop(inner: &Inner) {
                 state.idle -= 1;
             }
         };
-        job();
-        inner.executed.fetch_add(1, Ordering::Relaxed);
+        // A panicking job must not take its worker with it: the pool
+        // would shrink silently and, at one worker, go on admitting
+        // jobs that nobody runs. Whoever waits on the job sees its
+        // reply channel drop; the pool keeps serving.
+        if catch_unwind(AssertUnwindSafe(job)).is_ok() {
+            inner.executed.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -210,6 +216,21 @@ mod tests {
         sched.shutdown();
         assert_eq!(sched.executed_count(), 32);
         assert_eq!(sched.shed_count(), 0);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_kill_its_worker() {
+        let sched = Scheduler::new(1, 4);
+        sched.submit(Box::new(|| panic!("job failed"))).unwrap();
+        let (tx, rx) = channel();
+        sched.submit(Box::new(move || tx.send(7).unwrap())).unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(7),
+            "the only worker died with the panicking job"
+        );
+        sched.shutdown();
+        assert_eq!(sched.executed_count(), 1, "only the second job completed");
     }
 
     #[test]

@@ -1,35 +1,30 @@
-//! The query service: connection handling, request dispatch, and the
-//! worker-side query execution path.
+//! The query service: connection handling, and the one path from a
+//! decoded request to its `Stat`.
 //!
-//! Layering (see DESIGN.md): connections speak the `proto` frame
-//! vocabulary; requests that run queries go through the `sched`
-//! admission queue to a worker; the worker checks the session's
-//! database out of the `session` table, runs the `measure` protocol on
-//! it (the *same* code path as the figure harness), and returns the
-//! full per-operator [`Stat`]. A fired deadline unwinds out of the
-//! engine with a [`Cancelled`] payload; the worker catches it, discards
-//! the now-undefined database clone, refills the session with a fresh
-//! snapshot, and reports `DeadlineExceeded` instead of hanging.
+//! Layering (see DESIGN.md §2.7): connections speak the `proto` frame
+//! vocabulary; a request that asks for engine work — join, chain or
+//! update, all one [`Work`] value — goes through the `sched` admission
+//! queue to a worker (`dispatch`); the worker checks the session's
+//! database out of the `session` table, runs [`measure`] on it (the
+//! *same* code path as the figure harness), and answers with the full
+//! per-operator `Stat` (`execute`). Anything that unwinds out of the
+//! engine — a fired deadline's [`Cancelled`] payload, or a defect's
+//! panic — is caught there: the now-undefined database clone is
+//! discarded, the session refilled with a fresh snapshot, and the reply
+//! is typed (`DeadlineExceeded`, `Error`) instead of a hang.
 
-use std::io::{Read, Write};
 use std::net::TcpListener;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once};
 use std::thread::JoinHandle;
 
-use tq_query::join::JoinOptions;
+use tq_query::join::parallel::panic_message;
 use tq_query::{CancelToken, Cancelled};
 use tq_workload::Database;
 
-use crate::measure::{
-    chain_stat_record, compile_chain_spec, measure_chain_current, measure_current_parallel,
-    measure_update_current, run_join_cell_parallel, stat_record, update_stat_record,
-};
-use crate::proto::{
-    read_frame, write_frame, CacheMode, ChainQuerySpec, FrameError, PartialStat, QuerySpec,
-    Request, Response, UpdateTarget, SHARD_SELF,
-};
+use crate::measure::{measure, MeasureError};
+use crate::proto::{serve_frames, PartialStat, Request, Response, Work, SHARD_SELF};
 use crate::sched::Scheduler;
 use crate::session::{CommitOutcome, SessionManager};
 use crate::transport::{duplex_pair, DuplexStream};
@@ -154,7 +149,7 @@ impl Server {
         let inner = Arc::clone(&self.inner);
         let handle = std::thread::Builder::new()
             .name("tq-conn".into())
-            .spawn(move || serve_conn(&inner, server_end))
+            .spawn(move || serve_frames(server_end, |req| handle_request(&inner, req)))
             .expect("spawn connection handler");
         self.conn_threads.lock().unwrap().push(handle);
         client
@@ -173,7 +168,7 @@ impl Server {
                     let inner = Arc::clone(&inner);
                     let _ = std::thread::Builder::new()
                         .name("tq-conn-tcp".into())
-                        .spawn(move || serve_conn(&inner, stream));
+                        .spawn(move || serve_frames(stream, |req| handle_request(&inner, req)));
                 }
             })
             .expect("spawn acceptor");
@@ -218,29 +213,6 @@ impl Server {
     }
 }
 
-/// One connection: a strict request→response loop over frames. Any
-/// framing error (including clean hang-up) ends the connection; a
-/// decodable-but-invalid request gets a `Response::Error` and the
-/// conversation continues.
-fn serve_conn<S: Read + Write>(inner: &Arc<Inner>, mut conn: S) {
-    loop {
-        let payload = match read_frame(&mut conn) {
-            Ok(p) => p,
-            Err(FrameError::Closed) => return,
-            Err(_) => return,
-        };
-        let resp = match Request::decode(&payload) {
-            Ok(req) => handle_request(inner, req),
-            Err(e) => Response::Error {
-                msg: format!("bad request: {e}"),
-            },
-        };
-        if write_frame(&mut conn, &resp.encode()).is_err() {
-            return;
-        }
-    }
-}
-
 fn handle_request(inner: &Arc<Inner>, req: Request) -> Response {
     match req {
         Request::Hello { mode } => {
@@ -248,13 +220,12 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Response {
             inner.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
             Response::SessionOpened { session }
         }
-        Request::Query(spec) => dispatch_query(inner, spec),
-        Request::Chain(spec) => dispatch_chain(inner, spec),
+        Request::Query(_) | Request::Chain(_) | Request::Update { .. } => dispatch(inner, &req),
         // A plain engine shard *is* the whole database from its own
         // point of view: a scattered query runs the ordinary query path
         // and reports itself as the single partial. A router overrides
         // this by fanning out before any shard sees the request.
-        Request::Scatter(spec) => match dispatch_query(inner, spec) {
+        Request::Scatter(_) => match dispatch(inner, &req) {
             Response::QueryOk { results, stat } => Response::ScatterOk {
                 results,
                 partials: vec![PartialStat {
@@ -275,18 +246,8 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Response {
                     uncommitted_pages: report.uncommitted_pages,
                 }
             }
-            Err(e) => {
-                inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-                Response::Error { msg: e.to_string() }
-            }
+            Err(e) => failed(inner, e.to_string()),
         },
-        Request::Update {
-            session,
-            target,
-            sel_pct,
-            delta,
-            deadline_nanos,
-        } => dispatch_update(inner, session, target, sel_pct, delta, deadline_nanos),
         // Commit and Abort are bookkeeping (a page-pointer diff and an
         // Arc swap), not engine work: they run inline on the connection
         // thread rather than competing with queries for workers.
@@ -302,82 +263,33 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Response {
                     conflict_epoch: conflict.epoch,
                 }
             }
-            Err(e) => {
-                inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-                Response::Error { msg: e.to_string() }
-            }
+            Err(e) => failed(inner, e.to_string()),
         },
         Request::Abort { session } => match inner.sessions.abort(session) {
             Ok(discarded_pages) => {
                 inner.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
                 Response::RolledBack { discarded_pages }
             }
-            Err(e) => {
-                inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-                Response::Error { msg: e.to_string() }
-            }
+            Err(e) => failed(inner, e.to_string()),
         },
     }
 }
 
-/// Admits the query to the worker pool and waits for its response.
-fn dispatch_query(inner: &Arc<Inner>, spec: QuerySpec) -> Response {
-    let (tx, rx) = mpsc::channel();
-    let job_inner = Arc::clone(inner);
-    let submitted = inner.sched.submit(Box::new(move || {
-        let resp = execute_query(&job_inner, spec);
-        let _ = tx.send(resp);
-    }));
-    if let Err(overloaded) = submitted {
-        inner.stats.queries_shed.fetch_add(1, Ordering::Relaxed);
-        return Response::Overloaded {
-            queue_depth: overloaded.queue_depth,
-            shard: SHARD_SELF,
-        };
-    }
-    rx.recv().unwrap_or_else(|_| Response::Error {
-        msg: "worker dropped the query".into(),
-    })
+/// Counts a failed request and answers it with the typed `Error`.
+fn failed(inner: &Inner, msg: String) -> Response {
+    inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
+    Response::Error { msg }
 }
 
-/// Admits an N-way chain query to the worker pool and waits for its
-/// response. Chains share the join queries' admission queue, workers,
-/// and shed path.
-fn dispatch_chain(inner: &Arc<Inner>, spec: ChainQuerySpec) -> Response {
-    let (tx, rx) = mpsc::channel();
-    let job_inner = Arc::clone(inner);
-    let submitted = inner.sched.submit(Box::new(move || {
-        let resp = execute_chain(&job_inner, spec);
-        let _ = tx.send(resp);
-    }));
-    if let Err(overloaded) = submitted {
-        inner.stats.queries_shed.fetch_add(1, Ordering::Relaxed);
-        return Response::Overloaded {
-            queue_depth: overloaded.queue_depth,
-            shard: SHARD_SELF,
-        };
-    }
-    rx.recv().unwrap_or_else(|_| Response::Error {
-        msg: "worker dropped the query".into(),
-    })
-}
-
-/// Admits an update statement to the worker pool and waits for its
-/// response. Updates compete with queries for the same admission queue:
+/// Admits the request's engine work to the worker pool and waits for
+/// its response. Joins, chains and updates share one admission queue:
 /// overload sheds writes and reads alike.
-fn dispatch_update(
-    inner: &Arc<Inner>,
-    session: u64,
-    target: UpdateTarget,
-    sel_pct: u32,
-    delta: i32,
-    deadline_nanos: u64,
-) -> Response {
+fn dispatch(inner: &Arc<Inner>, req: &Request) -> Response {
+    let (session, work, deadline_nanos) = req.work().expect("only engine work is dispatched");
     let (tx, rx) = mpsc::channel();
     let job_inner = Arc::clone(inner);
     let submitted = inner.sched.submit(Box::new(move || {
-        let resp = execute_update(&job_inner, session, target, sel_pct, delta, deadline_nanos);
-        let _ = tx.send(resp);
+        let _ = tx.send(execute(&job_inner, session, work, deadline_nanos));
     }));
     if let Err(overloaded) = submitted {
         inner.stats.queries_shed.fetch_add(1, Ordering::Relaxed);
@@ -387,50 +299,61 @@ fn dispatch_update(
         };
     }
     rx.recv().unwrap_or_else(|_| Response::Error {
-        msg: "worker dropped the update".into(),
+        msg: "worker dropped the request".into(),
     })
 }
 
-/// Worker-side update execution. The statement runs against the
-/// session's private snapshot — its writes stay invisible to every
-/// other session until `Commit` publishes them. A fired deadline
-/// discards the half-updated clone and refills the session from its
-/// *base* epoch: uncommitted statements from earlier in the
-/// transaction are lost too, which is the atomicity contract.
-fn execute_update(
-    inner: &Inner,
-    session: u64,
-    target: UpdateTarget,
-    sel_pct: u32,
-    delta: i32,
-    deadline_nanos: u64,
-) -> Response {
+/// Worker-side execution, one path for every kind of work: session
+/// checkout, the measurement protocol (the same code the figure harness
+/// runs, so a served `Stat` is byte-identical to a harness `Stat`),
+/// then exactly one of three outcomes.
+///
+/// * measured — restore the database, count, answer `QueryOk` /
+///   `UpdateOk`;
+/// * invalid work (a bad chain depth) — found before anything ran:
+///   restore the database untouched, typed `Error`;
+/// * a morsel-worker panic, a fired deadline, or any other unwind — the
+///   database has half-built operator state (or half a statement's
+///   writes) in it: discard it, refill the session from its base epoch,
+///   typed `Error` / `DeadlineExceeded`. Uncommitted statements from
+///   earlier in the transaction are lost too, which is the atomicity
+///   contract.
+fn execute(inner: &Inner, session: u64, work: Work, deadline_nanos: u64) -> Response {
     let (mut db, mode) = match inner.sessions.take(session) {
         Ok(taken) => taken,
-        Err(e) => {
-            inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-            return Response::Error { msg: e.to_string() };
-        }
+        Err(e) => return failed(inner, e.to_string()),
     };
     let cancel = (deadline_nanos > 0).then(|| CancelToken::with_deadline_nanos(deadline_nanos));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        measure_update_current(&mut db, target, sel_pct, delta, cancel)
+        measure(&mut db, &work, mode, cancel, inner.parallel)
     }));
-    match outcome {
-        Ok(cell) => {
-            let stat = update_stat_record(&db, &cell, sel_pct, delta, mode == CacheMode::Cold);
-            let updated = cell.outcome.updated;
+    let reply = match outcome {
+        Ok(Ok((count, stat))) => {
             inner.sessions.restore(session, db);
-            inner.stats.updates_ok.fetch_add(1, Ordering::Relaxed);
-            Response::UpdateOk {
-                updated,
-                stat: Box::new(stat),
-            }
+            let stat = Box::new(stat);
+            return if let Work::Update { .. } = work {
+                inner.stats.updates_ok.fetch_add(1, Ordering::Relaxed);
+                Response::UpdateOk {
+                    updated: count,
+                    stat,
+                }
+            } else {
+                inner.stats.queries_ok.fetch_add(1, Ordering::Relaxed);
+                Response::QueryOk {
+                    results: count,
+                    stat,
+                }
+            };
         }
+        Ok(Err(MeasureError::Invalid(msg))) => {
+            inner.sessions.restore(session, db);
+            return failed(inner, msg);
+        }
+        // Every morsel worker was joined and its store clone dropped,
+        // so nothing leaked — but the measurement window is garbage.
+        Ok(Err(MeasureError::Panicked(panic))) => failed(inner, panic.to_string()),
         Err(payload) => match payload.downcast::<Cancelled>() {
             Ok(cancelled) => {
-                drop(db);
-                inner.sessions.replace_fresh(session);
                 inner
                     .stats
                     .queries_deadline_exceeded
@@ -439,147 +362,15 @@ fn execute_update(
                     elapsed_nanos: cancelled.elapsed_nanos,
                 }
             }
-            Err(other) => resume_unwind(other),
+            Err(other) => failed(
+                inner,
+                format!("internal error: {}", panic_message(other.as_ref())),
+            ),
         },
-    }
-}
-
-/// Worker-side execution: session checkout, the measurement protocol,
-/// deadline handling, session restore.
-fn execute_query(inner: &Inner, spec: QuerySpec) -> Response {
-    let (mut db, mode) = match inner.sessions.take(spec.session) {
-        Ok(taken) => taken,
-        Err(e) => {
-            inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-            return Response::Error { msg: e.to_string() };
-        }
     };
-    let cancel =
-        (spec.deadline_nanos > 0).then(|| CancelToken::with_deadline_nanos(spec.deadline_nanos));
-    let opts = JoinOptions::default();
-    let degree = inner.parallel;
-    let outcome = catch_unwind(AssertUnwindSafe(|| match mode {
-        // Cold sessions run the paper's protocol exactly as the figure
-        // harness does — one shared code path, so a served Stat is
-        // byte-identical to a harness Stat for the same cell. At
-        // degree 1 the parallel entry point IS the serial one.
-        CacheMode::Cold => run_join_cell_parallel(
-            &mut db,
-            spec.algo,
-            spec.pat_pct,
-            spec.prov_pct,
-            &opts,
-            cancel,
-            degree,
-        ),
-        // Warm sessions measure against whatever the session's earlier
-        // queries left resident.
-        CacheMode::Warm => measure_current_parallel(
-            &mut db,
-            spec.algo,
-            spec.pat_pct,
-            spec.prov_pct,
-            &opts,
-            cancel,
-            degree,
-        ),
-    }));
-    match outcome {
-        Ok(Ok(cell)) => {
-            let mut stat = stat_record(&db, &cell, spec.pat_pct, spec.prov_pct);
-            stat.query.cold = mode == CacheMode::Cold;
-            inner.sessions.restore(spec.session, db);
-            inner.stats.queries_ok.fetch_add(1, Ordering::Relaxed);
-            Response::QueryOk {
-                results: cell.results,
-                stat: Box::new(stat),
-            }
-        }
-        Ok(Err(panic)) => {
-            // A morsel worker died. Every worker was joined and its
-            // store clone dropped, so nothing leaked — but the query's
-            // measurement window is garbage. Discard the database like
-            // a cancellation and answer with the typed error.
-            drop(db);
-            inner.sessions.replace_fresh(spec.session);
-            inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-            Response::Error {
-                msg: panic.to_string(),
-            }
-        }
-        Err(payload) => match payload.downcast::<Cancelled>() {
-            Ok(cancelled) => {
-                // The unwound database has half-built operator state in
-                // its caches and handle table: discard it and refill
-                // the session from the base snapshot.
-                drop(db);
-                inner.sessions.replace_fresh(spec.session);
-                inner
-                    .stats
-                    .queries_deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::DeadlineExceeded {
-                    elapsed_nanos: cancelled.elapsed_nanos,
-                }
-            }
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
-/// Worker-side chain execution: the [`execute_query`] shape with
-/// compile-time validation up front — a bad depth restores the session
-/// untouched and answers with a typed `Error`.
-fn execute_chain(inner: &Inner, spec: ChainQuerySpec) -> Response {
-    let (mut db, mode) = match inner.sessions.take(spec.session) {
-        Ok(taken) => taken,
-        Err(e) => {
-            inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-            return Response::Error { msg: e.to_string() };
-        }
-    };
-    let chain = match compile_chain_spec(&db, spec.depth, spec.pat_pct, spec.prov_pct) {
-        Ok(chain) => chain,
-        Err(msg) => {
-            inner.sessions.restore(spec.session, db);
-            inner.stats.queries_failed.fetch_add(1, Ordering::Relaxed);
-            return Response::Error { msg };
-        }
-    };
-    let cancel =
-        (spec.deadline_nanos > 0).then(|| CancelToken::with_deadline_nanos(spec.deadline_nanos));
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if mode == CacheMode::Cold {
-            db.store.cold_restart();
-        }
-        measure_chain_current(&mut db, &chain, spec.policy, cancel)
-    }));
-    match outcome {
-        Ok(cell) => {
-            let mut stat = chain_stat_record(&db, &cell, spec.depth, spec.pat_pct, spec.prov_pct);
-            stat.query.cold = mode == CacheMode::Cold;
-            inner.sessions.restore(spec.session, db);
-            inner.stats.queries_ok.fetch_add(1, Ordering::Relaxed);
-            Response::QueryOk {
-                results: cell.results,
-                stat: Box::new(stat),
-            }
-        }
-        Err(payload) => match payload.downcast::<Cancelled>() {
-            Ok(cancelled) => {
-                drop(db);
-                inner.sessions.replace_fresh(spec.session);
-                inner
-                    .stats
-                    .queries_deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::DeadlineExceeded {
-                    elapsed_nanos: cancelled.elapsed_nanos,
-                }
-            }
-            Err(other) => resume_unwind(other),
-        },
-    }
+    drop(db);
+    inner.sessions.replace_fresh(session);
+    reply
 }
 
 /// Keeps the default panic hook from printing a backtrace every time a

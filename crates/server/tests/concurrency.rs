@@ -7,9 +7,13 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use tq_query::{JoinAlgo, JoinOptions, PlannerPolicy};
-use tq_server::measure::{chain_stat_record, run_chain_cell, run_join_cell, stat_record};
+use tq_server::measure::{
+    chain_stat_record, measure_update_current, run_chain_cell, run_join_cell, stat_record,
+    update_stat_record,
+};
 use tq_server::{
-    CacheMode, ChainQuerySpec, Client, QuerySpec, Response, Server, ServerConfig, UpdateTarget,
+    CacheMode, ChainQuerySpec, Client, ClientError, DuplexStream, QuerySpec, Response, Server,
+    ServerConfig, UpdateTarget, Work,
 };
 use tq_statsdb::Stat;
 use tq_workload::{build, BuildConfig, Database, DbShape, Organization};
@@ -707,6 +711,171 @@ fn served_chains_match_the_serial_oracle_for_every_policy() {
         .unwrap();
     assert!(matches!(ok, Response::QueryOk { .. }));
     client.close_session(session).unwrap();
+    drop(client);
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Every kind of engine work × every outcome of the one request path.
+// ---------------------------------------------------------------------
+
+/// Sends `work` through the client call of its kind.
+fn send(
+    client: &mut Client<DuplexStream>,
+    session: u64,
+    work: Work,
+    deadline_nanos: u64,
+) -> Result<Response, ClientError> {
+    match work {
+        Work::Join {
+            algo,
+            pat_pct,
+            prov_pct,
+        } => client.query(QuerySpec {
+            session,
+            algo,
+            pat_pct,
+            prov_pct,
+            deadline_nanos,
+        }),
+        Work::Chain {
+            depth,
+            pat_pct,
+            prov_pct,
+            policy,
+        } => client.chain(ChainQuerySpec {
+            session,
+            depth,
+            pat_pct,
+            prov_pct,
+            policy,
+            deadline_nanos,
+        }),
+        Work::Update {
+            target,
+            sel_pct,
+            delta,
+        } => client.update(session, target, sel_pct, delta, deadline_nanos),
+    }
+}
+
+/// What the in-process measurement functions record for one cold run
+/// of `work` on a private clone: `(count, Stat)`.
+fn work_oracle(base: &Database, work: Work) -> (u64, Stat) {
+    match work {
+        Work::Join {
+            algo,
+            pat_pct,
+            prov_pct,
+        } => serial_oracle(base, algo, pat_pct, prov_pct),
+        Work::Chain {
+            depth,
+            pat_pct,
+            prov_pct,
+            policy,
+        } => {
+            let mut db = base.clone();
+            let cell = run_chain_cell(&mut db, depth, pat_pct, prov_pct, policy, None).unwrap();
+            let stat = chain_stat_record(&db, &cell, depth, pat_pct, prov_pct);
+            (cell.results, stat)
+        }
+        Work::Update {
+            target,
+            sel_pct,
+            delta,
+        } => {
+            let mut db = base.clone();
+            db.store.cold_restart();
+            let cell = measure_update_current(&mut db, target, sel_pct, delta, None);
+            let stat = update_stat_record(&db, &cell, sel_pct, delta, true);
+            (cell.outcome.updated, stat)
+        }
+    }
+}
+
+/// The `(count, Stat)` of an ok reply, whichever shape it came in.
+fn ok_reply(resp: Response) -> (u64, Stat) {
+    match resp {
+        Response::QueryOk { results, stat } => (results, *stat),
+        Response::UpdateOk { updated, stat } => (updated, *stat),
+        other => panic!("expected an ok reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_kind_of_work_meets_every_outcome() {
+    let base = base_db();
+    let kinds = [
+        Work::Join {
+            algo: JoinAlgo::Chj,
+            pat_pct: 10,
+            prov_pct: 90,
+        },
+        Work::Chain {
+            depth: 3,
+            pat_pct: 30,
+            prov_pct: 60,
+            policy: PlannerPolicy::Estimate,
+        },
+        Work::Update {
+            target: UpdateTarget::Patients,
+            sel_pct: 10,
+            delta: 1,
+        },
+    ];
+    let server = Server::start(base.clone(), ServerConfig::default());
+    let mut client = Client::new(server.connect_in_proc());
+    for work in kinds {
+        let want = work_oracle(&base, work);
+        let session = client.open_session(CacheMode::Cold).unwrap();
+
+        // 1ns of simulated time: cancelled at the first operator tick,
+        // the session refilled from its base epoch...
+        let resp = send(&mut client, session, work, 1).unwrap();
+        assert!(
+            matches!(resp, Response::DeadlineExceeded { .. }),
+            "{work:?}: expected DeadlineExceeded, got {resp:?}"
+        );
+        // ...so the same session then answers exactly like the oracle.
+        let got = ok_reply(send(&mut client, session, work, 0).unwrap());
+        assert_eq!(got, want, "{work:?}: served reply drifted from the oracle");
+
+        // An unknown session is a typed error for every kind.
+        let err = send(&mut client, session + 1_000, work, 0);
+        assert!(
+            matches!(err, Err(ClientError::Server(ref msg)) if msg.contains("unknown session")),
+            "{work:?}: {err:?}"
+        );
+        let (_drained, leaked, _uncommitted) = client.close_session(session).unwrap();
+        assert_eq!(leaked, 0, "{work:?} leaked handles");
+    }
+
+    // Invalid work is refused before anything runs: typed error, and
+    // the session — never discarded — serves valid work right after.
+    let session = client.open_session(CacheMode::Cold).unwrap();
+    let bad = Work::Chain {
+        depth: 7,
+        pat_pct: 30,
+        prov_pct: 60,
+        policy: PlannerPolicy::Estimate,
+    };
+    let err = send(&mut client, session, bad, 0);
+    assert!(
+        matches!(err, Err(ClientError::Server(ref msg)) if msg.contains("depth 7")),
+        "{err:?}"
+    );
+    let got = ok_reply(send(&mut client, session, kinds[1], 0).unwrap());
+    assert_eq!(got, work_oracle(&base, kinds[1]));
+    client.close_session(session).unwrap();
+
+    assert_eq!(server.open_sessions(), 0);
+    let stats = server.stats();
+    assert_eq!(stats.queries_deadline_exceeded, 3);
+    assert_eq!((stats.queries_ok, stats.updates_ok), (3, 1));
+    assert_eq!(
+        stats.queries_failed, 4,
+        "three unknown sessions, one bad depth"
+    );
     drop(client);
     server.shutdown();
 }

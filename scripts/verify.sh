@@ -29,6 +29,23 @@ if grep -rnE 'batch(_size\(\))? <= 1|batch > 1 &&' crates/core/src; then
     exit 1
 fi
 
+echo "== one request path from wire to Stat (no per-kind fork in tq-server) =="
+# Joins, chains and updates are one `Work` value on one dispatch →
+# execute → measure path, recorded through one `Stat` shell; a
+# per-kind copy of a stage is the triplicate coming back.
+if grep -rnE 'fn (dispatch|execute)_(query|chain|update)' crates/server/src; then
+    echo "error: a per-kind dispatch/execute fork is back under crates/server/src" >&2
+    exit 1
+fi
+# Constructor literals only: not `-> Stat {` signatures, not `OperatorStat {`.
+STAT_LITERALS=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /Stat \{/ && !/-> Stat \{/ && !/[A-Za-z_]Stat \{/' \
+    crates/server/src/measure.rs | wc -l)
+if [ "$STAT_LITERALS" -gt 1 ]; then
+    echo "error: measure.rs builds \`Stat { .. }\` in $STAT_LITERALS non-test places (want 1)" >&2
+    exit 1
+fi
+
 echo "== build (release, workspace) =="
 cargo build --release --workspace
 
@@ -188,13 +205,14 @@ echo "== perf gate: paper-scale fig11_14 vs committed trajectory (CPU) =="
 # CPU time (user+sys, min of 3 rounds) of the paper's headline figure
 # must stay within 15% of the best committed cpu_ms_min3 record
 # (figure=fig11_14, paper scale, TQ_JOBS=1). Wall clock swings ±60%
-# with neighbour load on shared hosts (BENCH_vectorized.json documents
-# the measurement) — CPU time is the noise-robust signal. Skippable on
+# with neighbour load on shared hosts (BENCH_vectorized.json, the one
+# committed record file, documents the measurement) — CPU time is the
+# noise-robust signal. Skippable on
 # hosts with a different CPU class: TQ_SKIP_PERF_GATE=1.
 if [ "${TQ_SKIP_PERF_GATE:-0}" = "1" ]; then
     echo "skipped (TQ_SKIP_PERF_GATE=1)"
 else
-    BASE_MS=$(grep -h '"figure": "fig11_14"' BENCH_*.json 2>/dev/null \
+    BASE_MS=$(grep -h '"figure": "fig11_14"' BENCH_vectorized.json 2>/dev/null \
         | grep '"scale": 1,' | grep '"jobs": 1,' | grep '"cpu_ms_min3":' \
         | sed -E 's/.*"cpu_ms_min3": ([0-9]+).*/\1/' \
         | sort -n | head -1)

@@ -473,13 +473,6 @@ impl<'a> ExecContext<'a> {
         self.batch_size
     }
 
-    /// Overrides the batch size for this context (differential tests
-    /// pin a batch size without touching the process default). Clamped
-    /// to ≥ 1.
-    pub fn set_batch_size(&mut self, n: usize) {
-        self.batch_size = n.max(1);
-    }
-
     /// Takes the rid scratch buffer (empty). Return it with
     /// [`ExecContext::put_rid_batch`] so the next operator reuses the
     /// allocation.

@@ -3,9 +3,11 @@
 //!
 //! The executor materializes the bound-row frontier between stages:
 //! each row carries the rids of the steps bound so far plus the
-//! projection slots already filled. Navigation stages re-fetch the
-//! frontier object through its rid (the physically honest cost of a
-//! materialized pipeline) and walk the edge attribute; hash stages
+//! projection slots already filled, stored flat (one strided `Vec` of
+//! rids and one of projection values per stage, see `Frontier`).
+//! Navigation stages re-fetch the frontier object through its rid
+//! (the physically honest cost of a materialized pipeline) and walk
+//! the edge attribute; hash stages
 //! scan the new step's extent, build or probe an rid-keyed table
 //! ([`SwapSim`]-paged like PHJ), and extend matching rows. Predicates
 //! beyond an index-served primary are evaluated at fetch, charged
@@ -52,12 +54,90 @@ pub struct ChainReport {
     pub trace: ExecTrace,
 }
 
-/// One frontier row: rids of the bound steps (indexed by step, only
-/// bound slots meaningful) and the projection values filled so far.
-#[derive(Clone)]
-struct Row {
+/// Marks the end of a hash-table row chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// The bound-row frontier, flat: row `i` owns `rids[i * width..][..width]`
+/// (the rids of the bound steps, indexed by step; only bound slots are
+/// meaningful) and `proj[i * proj_len..][..proj_len]` (the projection
+/// values filled so far). A stage costs two allocations, not two per
+/// row. Host-side only: the simulated clock never sees its layout.
+struct Frontier {
+    width: usize,
+    proj_len: usize,
     rids: Vec<Rid>,
     proj: Vec<i64>,
+}
+
+impl Frontier {
+    fn new(width: usize, proj_len: usize) -> Self {
+        Self {
+            width,
+            proj_len,
+            rids: Vec::new(),
+            proj: Vec::new(),
+        }
+    }
+
+    /// An empty frontier of the same shape.
+    fn empty_like(&self) -> Self {
+        Self::new(self.width, self.proj_len)
+    }
+
+    fn len(&self) -> usize {
+        self.rids.len() / self.width
+    }
+
+    /// The rid row `row` bound at `step`.
+    fn rid(&self, row: usize, step: usize) -> Rid {
+        self.rids[row * self.width + step]
+    }
+
+    fn proj(&self, row: usize) -> &[i64] {
+        &self.proj[row * self.proj_len..][..self.proj_len]
+    }
+
+    /// Appends a root row: every rid slot starts as `rid` (stages
+    /// overwrite their own step's slot as they bind), projections 0.
+    /// Returns the new row's projection slots.
+    fn push_root(&mut self, rid: Rid) -> &mut [i64] {
+        self.rids.extend(std::iter::repeat_n(rid, self.width));
+        let at = self.proj.len();
+        self.proj.resize(at + self.proj_len, 0);
+        &mut self.proj[at..]
+    }
+
+    /// Appends a copy of `src`'s row `row` with `step` bound to `rid`.
+    /// Returns the new row's projection slots.
+    fn push_extended(&mut self, src: &Frontier, row: usize, step: usize, rid: Rid) -> &mut [i64] {
+        let at = self.rids.len();
+        self.rids
+            .extend_from_slice(&src.rids[row * self.width..][..self.width]);
+        self.rids[at + step] = rid;
+        let at = self.proj.len();
+        self.proj
+            .extend_from_slice(&src.proj[row * self.proj_len..][..self.proj_len]);
+        &mut self.proj[at..]
+    }
+
+    /// Moves row `row` down to position `kept` (`kept <= row`) with
+    /// `step` bound to `rid` — in-place compaction for the stages that
+    /// bind at most one new object per row; [`Frontier::truncate`]
+    /// then drops the rows that were not kept. Returns the kept row's
+    /// projection slots.
+    fn keep_extended(&mut self, row: usize, kept: usize, step: usize, rid: Rid) -> &mut [i64] {
+        let (w, p) = (self.width, self.proj_len);
+        self.rids.copy_within(row * w..(row + 1) * w, kept * w);
+        self.rids[kept * w + step] = rid;
+        self.proj.copy_within(row * p..(row + 1) * p, kept * p);
+        &mut self.proj[kept * p..(kept + 1) * p]
+    }
+
+    /// Keeps the first `rows` rows.
+    fn truncate(&mut self, rows: usize) {
+        self.rids.truncate(rows * self.width);
+        self.proj.truncate(rows * self.proj_len);
+    }
 }
 
 /// Runs `plan` over `spec`. `indexes[step]`, when present, is an index
@@ -140,11 +220,11 @@ pub fn run_chain(
     }
 
     ex.op(OpKind::Emit, "result", |ex| {
-        for row in rows {
+        for row in 0..rows.len() {
             charge_result_append(ex.store, spec.result_mode);
             report.results += 1;
             if let Some(out) = &mut report.rows {
-                out.push(row.proj);
+                out.push(rows.proj(row).to_vec());
             }
         }
     });
@@ -247,12 +327,11 @@ fn bind_root(
     indexes: &[Option<BTreeIndex>],
     classes: &[ClassId],
     report: &mut ChainReport,
-) -> Vec<Row> {
+) -> Frontier {
     let step = plan.root;
     let s = &spec.steps[step];
     let class = classes[step];
     let label = s.label();
-    let proj_len = spec.projection.len();
     let (candidates, enforced) =
         gather_candidates(ex, spec, step, plan.root_access, indexes[step].as_ref());
     let kind = match plan.root_access {
@@ -262,7 +341,7 @@ fn bind_root(
     // Re-entering the same (kind, label) scope merges with the gather
     // node, so the trace shows one row per pipeline stage.
     ex.op(kind, &label, |ex| {
-        let mut rows = Vec::new();
+        let mut rows = Frontier::new(spec.len(), spec.projection.len());
         for rid in candidates {
             ex.with_object(rid, |ex, obj| {
                 report.scanned[step] += 1;
@@ -272,14 +351,8 @@ fn bind_root(
                 if !preds_pass(ex, class, obj, s, enforced) {
                     return;
                 }
-                let mut row = Row {
-                    // Every slot starts as the root rid; stages
-                    // overwrite their own step's slot as they bind.
-                    rids: vec![obj.rid(); spec.len()],
-                    proj: vec![0; proj_len],
-                };
-                fill_proj(ex, spec, class, step, obj, &mut row.proj);
-                rows.push(row);
+                let proj = rows.push_root(obj.rid());
+                fill_proj(ex, spec, class, step, obj, proj);
             });
         }
         rows
@@ -296,16 +369,16 @@ fn nav_set(
     step: usize,
     set_attr: usize,
     classes: &[ClassId],
-    rows: Vec<Row>,
+    rows: Frontier,
     report: &mut ChainReport,
-) -> Vec<Row> {
+) -> Frontier {
     let s = &spec.steps[step];
     let label = s.label();
     let (from_class, class) = (classes[from], classes[step]);
     ex.op(OpKind::SetNav, &label, |ex| {
-        let mut out = Vec::new();
-        for row in rows {
-            ex.with_object(row.rids[from], |ex, parent| {
+        let mut out = rows.empty_like();
+        for row in 0..rows.len() {
+            ex.with_object(rows.rid(row, from), |ex, parent| {
                 if parent.is_deleted() {
                     return;
                 }
@@ -320,10 +393,8 @@ fn nav_set(
                         if !preds_pass(ex, class, child, s, 0) {
                             return;
                         }
-                        let mut nr = row.clone();
-                        nr.rids[step] = child.rid();
-                        fill_proj(ex, spec, class, step, child, &mut nr.proj);
-                        out.push(nr);
+                        let proj = out.push_extended(&rows, row, step, child.rid());
+                        fill_proj(ex, spec, class, step, child, proj);
                     });
                 }
             });
@@ -342,16 +413,16 @@ fn nav_back_ref(
     step: usize,
     ref_attr: usize,
     classes: &[ClassId],
-    rows: Vec<Row>,
+    mut rows: Frontier,
     report: &mut ChainReport,
-) -> Vec<Row> {
+) -> Frontier {
     let s = &spec.steps[step];
     let label = s.label();
     let (from_class, class) = (classes[from], classes[step]);
     ex.op(OpKind::BackRefNav, &label, |ex| {
-        let mut out = Vec::new();
-        for mut row in rows {
-            let prid = ex.with_object(row.rids[from], |ex, child| {
+        let mut kept = 0;
+        for row in 0..rows.len() {
+            let prid = ex.with_object(rows.rid(row, from), |ex, child| {
                 if child.is_deleted() {
                     return None;
                 }
@@ -367,12 +438,13 @@ fn nav_back_ref(
                 if !preds_pass(ex, class, parent, s, 0) {
                     return;
                 }
-                row.rids[step] = parent.rid();
-                fill_proj(ex, spec, class, step, parent, &mut row.proj);
-                out.push(row);
+                let proj = rows.keep_extended(row, kept, step, parent.rid());
+                fill_proj(ex, spec, class, step, parent, proj);
+                kept += 1;
             });
         }
-        out
+        rows.truncate(kept);
+        rows
     })
 }
 
@@ -388,22 +460,32 @@ fn hash_children(
     ref_attr: usize,
     index: Option<&BTreeIndex>,
     classes: &[ClassId],
-    rows: Vec<Row>,
+    rows: Frontier,
     report: &mut ChainReport,
-) -> Vec<Row> {
+) -> Frontier {
     let s = &spec.steps[step];
     let class = classes[step];
     let budget = ex.store.stack().model().operator_memory_budget;
     let mut swap = SwapSim::new(0, budget);
-    // Row indices per parent rid (a parent can back several rows once
-    // the chain revisits a collection).
-    let mut table: FxHashMap<Rid, Vec<usize>> = FxHashMap::default();
+    // The rows per parent rid (a parent can back several rows once the
+    // chain revisits a collection), as an index-linked list: the table
+    // holds a parent's first and last row, `next[row]` the row after.
+    let mut table: FxHashMap<Rid, (u32, u32)> = FxHashMap::default();
+    let mut next = vec![NO_ROW; rows.len()];
     ex.op(OpKind::HashBuild, &spec.steps[from].label(), |ex| {
-        for (i, row) in rows.iter().enumerate() {
-            table.entry(row.rids[from]).or_default().push(i);
+        for row in 0..rows.len() {
+            let prid = rows.rid(row, from);
+            let row = row as u32;
+            table
+                .entry(prid)
+                .and_modify(|(_, last)| {
+                    next[*last as usize] = row;
+                    *last = row;
+                })
+                .or_insert((row, row));
             ex.store.charge(CpuEvent::HashInsert, 1);
             swap.grow_to(table.len() as u64 * CHAIN_ENTRY_BYTES);
-            if swap.touch(rid_hash(row.rids[from])) {
+            if swap.touch(rid_hash(prid)) {
                 ex.store.charge(CpuEvent::SwapFault, 1);
             }
         }
@@ -414,7 +496,7 @@ fn hash_children(
 
     let (candidates, enforced) = gather_candidates(ex, spec, step, access, index);
     let out = ex.op(OpKind::HashProbe, &s.label(), |ex| {
-        let mut out = Vec::new();
+        let mut out = rows.empty_like();
         for crid in candidates {
             ex.with_object(crid, |ex, child| {
                 report.scanned[step] += 1;
@@ -432,12 +514,12 @@ fn hash_children(
                 if swap.touch(rid_hash(prid)) {
                     ex.store.charge(CpuEvent::SwapFault, 1);
                 }
-                if let Some(hits) = table.get(&prid) {
-                    for &i in hits {
-                        let mut nr = rows[i].clone();
-                        nr.rids[step] = child.rid();
-                        fill_proj(ex, spec, class, step, child, &mut nr.proj);
-                        out.push(nr);
+                if let Some(&(first, _)) = table.get(&prid) {
+                    let mut row = first;
+                    while row != NO_ROW {
+                        let proj = out.push_extended(&rows, row as usize, step, child.rid());
+                        fill_proj(ex, spec, class, step, child, proj);
+                        row = next[row as usize];
                     }
                 }
             });
@@ -461,16 +543,26 @@ fn hash_parents(
     ref_attr: usize,
     index: Option<&BTreeIndex>,
     classes: &[ClassId],
-    rows: Vec<Row>,
+    mut rows: Frontier,
     report: &mut ChainReport,
-) -> Vec<Row> {
+) -> Frontier {
     let s = &spec.steps[step];
     let (from_class, class) = (classes[from], classes[step]);
     let budget = ex.store.stack().model().operator_memory_budget;
     let mut swap = SwapSim::new(0, budget);
     let (candidates, enforced) = gather_candidates(ex, spec, step, access, index);
-    // Qualifying parents, carrying the projection slots they own.
-    let mut table: FxHashMap<Rid, Vec<(usize, i64)>> = FxHashMap::default();
+    // Qualifying parents, carrying the values of the projection slots
+    // `step` owns: the table maps a parent to the offset of its
+    // `owned.len()` values in `vals`.
+    let owned: Vec<usize> = spec
+        .projection
+        .iter()
+        .enumerate()
+        .filter(|(_, &(ps, _))| ps == step)
+        .map(|(slot, _)| slot)
+        .collect();
+    let mut vals: Vec<i64> = Vec::new();
+    let mut table: FxHashMap<Rid, u32> = FxHashMap::default();
     ex.op(OpKind::HashBuild, &s.label(), |ex| {
         for prid in candidates {
             ex.with_object(prid, |ex, parent| {
@@ -481,14 +573,13 @@ fn hash_parents(
                 if !preds_pass(ex, class, parent, s, enforced) {
                     return;
                 }
-                let mut vals = Vec::new();
-                for (slot, &(ps, attr)) in spec.projection.iter().enumerate() {
-                    if ps == step {
-                        ex.store.charge_attr_access(class, attr);
-                        vals.push((slot, int_attr(parent, attr)));
-                    }
+                let at = vals.len() as u32;
+                for &slot in &owned {
+                    let attr = spec.projection[slot].1;
+                    ex.store.charge_attr_access(class, attr);
+                    vals.push(int_attr(parent, attr));
                 }
-                table.insert(parent.rid(), vals);
+                table.insert(parent.rid(), at);
                 ex.store.charge(CpuEvent::HashInsert, 1);
                 swap.grow_to(table.len() as u64 * CHAIN_ENTRY_BYTES);
                 if swap.touch(rid_hash(parent.rid())) {
@@ -502,9 +593,9 @@ fn hash_parents(
         .max(table.len() as u64 * CHAIN_ENTRY_BYTES);
 
     ex.op(OpKind::HashProbe, &spec.steps[from].label(), |ex| {
-        let mut out = Vec::new();
-        for mut row in rows {
-            let prid = ex.with_object(row.rids[from], |ex, child| {
+        let mut kept = 0;
+        for row in 0..rows.len() {
+            let prid = ex.with_object(rows.rid(row, from), |ex, child| {
                 if child.is_deleted() {
                     return None;
                 }
@@ -516,15 +607,16 @@ fn hash_parents(
             if swap.touch(rid_hash(prid)) {
                 ex.store.charge(CpuEvent::SwapFault, 1);
             }
-            if let Some(vals) = table.get(&prid) {
-                row.rids[step] = prid;
-                for &(slot, v) in vals {
-                    row.proj[slot] = v;
+            if let Some(&at) = table.get(&prid) {
+                let proj = rows.keep_extended(row, kept, step, prid);
+                for (&slot, &v) in owned.iter().zip(&vals[at as usize..]) {
+                    proj[slot] = v;
                 }
-                out.push(row);
+                kept += 1;
             }
         }
         report.swap_faults += swap.faults();
-        out
+        rows.truncate(kept);
+        rows
     })
 }

@@ -201,6 +201,13 @@ impl Server {
         self.inner.sessions.open_count()
     }
 
+    /// Published epochs the MVCC chain still holds for commit
+    /// validation (see `SessionManager::retained_epochs`).
+    #[doc(hidden)]
+    pub fn retained_epochs(&self) -> usize {
+        self.inner.sessions.retained_epochs()
+    }
+
     /// Drains the worker pool and joins the in-process connection
     /// handlers. Callers must drop their client streams first — a
     /// handler blocks until its peer hangs up.

@@ -33,6 +33,22 @@
 //!    merge is O(touched files), not O(pages)). The head pointer
 //!    swaps to the new epoch atomically under the lock.
 //!
+//! ## Trimming the chain
+//!
+//! A session validates only against epochs numbered above its base,
+//! so once every live session is based at epoch `w` or later (the
+//! **watermark**: the lowest base among live slots, or the head when
+//! there are none), epochs `<= w` can never be validated against
+//! again. After each publish, and when a session closes, the chain
+//! drops them. The dropped `Arc`s are released after both locks are —
+//! as is a session's old base when it re-pins, which may be the last
+//! reference to a trimmed epoch — so freeing a dead epoch's pages
+//! never holds up a commit or a checkout. The watermark is read and
+//! applied under `slots` → `epochs` — the one lock order in this file
+//! — and [`SessionManager::create`] reads the head under `slots` too,
+//! so no session can be pinned to an epoch a concurrent trim has
+//! already judged unreachable.
+//!
 //! Warm sessions re-pin: a query checkout
 //! ([`SessionManager::take`]) that finds the session clean (no
 //! divergence from its base) and behind the head silently re-bases it
@@ -149,12 +165,10 @@ impl Epoch {
 
 struct Chain {
     head: Arc<Epoch>,
-    /// Every published epoch with `number >= 1`, in order — the
-    /// validation window for first-committer-wins. (Sessions hold
-    /// `Arc`s to their base epochs, so entries stay alive as long as
-    /// anyone could still validate against them; the list itself is
-    /// bounded by commits served, which the closed-loop harness keeps
-    /// in the thousands.)
+    /// The published epochs above the watermark, in order — the
+    /// validation window for first-committer-wins. Its length is the
+    /// commits published since the oldest live session's base (see
+    /// "Trimming the chain" in the module docs).
     published: Vec<Arc<Epoch>>,
 }
 
@@ -202,12 +216,22 @@ impl SessionManager {
         self.epochs.lock().unwrap().head.number
     }
 
-    /// Opens a session: clones the newest epoch into a fresh slot.
+    /// Published epochs the chain still holds for validation — 0 once
+    /// every live session is based at the head.
+    #[doc(hidden)]
+    pub fn retained_epochs(&self) -> usize {
+        self.epochs.lock().unwrap().published.len()
+    }
+
+    /// Opens a session: clones the newest epoch into a fresh slot. The
+    /// head is read under `slots`, so a concurrent trim either sees
+    /// this slot or ran before the head it pins was read.
     pub fn create(&self, mode: CacheMode) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut slots = self.slots.lock().unwrap();
         let base = self.head();
         let db = Box::new(base.db.clone());
-        self.slots.lock().unwrap().insert(
+        slots.insert(
             id,
             Slot {
                 mode,
@@ -216,6 +240,24 @@ impl SessionManager {
             },
         );
         id
+    }
+
+    /// Drops every published epoch at or below the watermark (the
+    /// lowest live base, or the head with no sessions). The dropped
+    /// epochs are freed after both locks are released.
+    fn trim(&self) {
+        let dead: Vec<Arc<Epoch>> = {
+            let slots = self.slots.lock().unwrap();
+            let mut chain = self.epochs.lock().unwrap();
+            let watermark = slots
+                .values()
+                .map(|s| s.base.number)
+                .min()
+                .unwrap_or(chain.head.number);
+            let cut = chain.published.partition_point(|e| e.number <= watermark);
+            chain.published.drain(..cut).collect()
+        };
+        drop(dead);
     }
 
     /// Checks the session's database out for a query. A clean session
@@ -233,9 +275,12 @@ impl SessionManager {
                 .stack()
                 .is_unchanged_since(slot.base.db.store.stack())
         {
-            slot.base = Arc::clone(&head);
-            let fresh = Box::new(head.db.clone());
-            return Ok((fresh, slot.mode));
+            let old = std::mem::replace(&mut slot.base, Arc::clone(&head));
+            let mode = slot.mode;
+            drop(slots);
+            // A base the chain already trimmed dies here, unlocked.
+            drop(old);
+            return Ok((Box::new(head.db.clone()), mode));
         }
         Ok((db, slot.mode))
     }
@@ -348,6 +393,7 @@ impl SessionManager {
         };
         let number = published.number;
         self.repin(id, published);
+        self.trim();
         Ok(CommitOutcome::Committed {
             epoch: number,
             pages,
@@ -376,11 +422,12 @@ impl SessionManager {
     /// Refills `id` with a fresh clone of `epoch` and pins it there.
     fn repin(&self, id: u64, epoch: Arc<Epoch>) {
         let db = Box::new(epoch.db.clone());
-        let mut slots = self.slots.lock().unwrap();
-        if let Some(slot) = slots.get_mut(&id) {
+        let old = self.slots.lock().unwrap().get_mut(&id).map(|slot| {
             slot.db = Some(db);
-            slot.base = epoch;
-        }
+            std::mem::replace(&mut slot.base, epoch)
+        });
+        // A base the chain already trimmed dies here, unlocked.
+        drop(old);
     }
 
     /// Closes a session: drains its delayed-free handle pool and
@@ -404,7 +451,7 @@ impl SessionManager {
         };
         let frees_before = db.store.handle_stats().frees;
         db.store.end_of_query();
-        Ok(CloseReport {
+        let report = CloseReport {
             drained_handles: db.store.handle_stats().frees - frees_before,
             leaked_handles: db.store.live_handles() as u64,
             uncommitted_pages: db
@@ -412,7 +459,10 @@ impl SessionManager {
                 .stack()
                 .write_set_since(base.db.store.stack())
                 .page_count(),
-        })
+        };
+        drop(base);
+        self.trim();
+        Ok(report)
     }
 
     /// Currently open sessions.
@@ -621,6 +671,194 @@ mod tests {
         mgr.restore(id, db);
         let report = mgr.close(id).unwrap();
         assert!(report.uncommitted_pages > 0);
+    }
+
+    /// A write-transaction step: checks `id` out, runs
+    /// [`update_patients`] over `mrn < limit`, checks it back in.
+    fn write_patients(mgr: &SessionManager, id: u64, limit: i64, delta: i32) {
+        let (mut db, _) = mgr.take(id).unwrap();
+        assert!(update_patients(&mut db, limit, delta) > 0);
+        mgr.restore(id, db);
+    }
+
+    /// Rewrites the first `limit` providers unchanged (a delta-0 touch):
+    /// a write-set on the providers file only, disjoint from any
+    /// patients update.
+    fn touch_providers(mgr: &SessionManager, id: u64, limit: i64) {
+        let (mut db, _) = mgr.take(id).unwrap();
+        let scan = db.idx_provider_upin.clone();
+        let mut idx_upin = db.idx_provider_upin.clone();
+        let mut reg = [MaintainedIndex {
+            index: &mut idx_upin,
+            key_attr: tq_workload::provider_attr::UPIN,
+        }];
+        let out = run_update(
+            &mut db.store,
+            &scan,
+            &mut reg,
+            &UpdateSpec {
+                collection: "Providers".into(),
+                key_limit: limit,
+                set_attr: tq_workload::provider_attr::UPIN,
+                delta: 0,
+            },
+            None,
+        );
+        assert!(out.updated > 0);
+        db.store.end_of_query();
+        mgr.restore(id, db);
+    }
+
+    fn committed_epoch(outcome: CommitOutcome) -> u64 {
+        match outcome {
+            CommitOutcome::Committed { epoch, pages } => {
+                assert!(pages > 0, "the write reached the write-set");
+                epoch
+            }
+            other => panic!("expected commit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chain_stays_bounded_under_a_repinning_reader() {
+        let mgr = SessionManager::new(tiny_db());
+        let writer = mgr.create(CacheMode::Warm);
+        let reader = mgr.create(CacheMode::Warm);
+        let limit = mgr.head().db.patient_selectivity_key(1);
+        for i in 1..=10_000u64 {
+            write_patients(&mgr, writer, limit, 1);
+            assert_eq!(committed_epoch(mgr.commit(writer).unwrap()), i);
+            assert!(mgr.retained_epochs() <= 2, "commit {i}");
+            // The warm reader's next query re-pins it to the head.
+            let (db, _) = mgr.take(reader).unwrap();
+            mgr.restore(reader, db);
+            assert!(mgr.retained_epochs() <= 2, "commit {i}");
+        }
+        mgr.close(reader).unwrap();
+        mgr.close(writer).unwrap();
+        assert_eq!(mgr.retained_epochs(), 0);
+    }
+
+    #[test]
+    fn idle_session_keeps_its_validation_window() {
+        let mgr = SessionManager::new(tiny_db());
+        let writer = mgr.create(CacheMode::Warm);
+        let (pat_limit, prov_limit) = {
+            let head = mgr.head();
+            (
+                head.db.patient_selectivity_key(1),
+                head.db.provider_selectivity_key(1),
+            )
+        };
+        touch_providers(&mgr, writer, prov_limit);
+        let k = committed_epoch(mgr.commit(writer).unwrap());
+        // An open transaction at k: its uncommitted write keeps it
+        // from re-pinning at its next checkout.
+        let idle = mgr.create(CacheMode::Warm);
+        write_patients(&mgr, idle, pat_limit, 2);
+        // Epoch k + 1 writes patients; the 99 after it only providers.
+        write_patients(&mgr, writer, pat_limit, 1);
+        let winner = committed_epoch(mgr.commit(writer).unwrap());
+        assert_eq!(winner, k + 1);
+        for _ in 0..99 {
+            touch_providers(&mgr, writer, prov_limit);
+            committed_epoch(mgr.commit(writer).unwrap());
+        }
+        assert_eq!(mgr.current_epoch(), k + 100);
+        assert_eq!(mgr.retained_epochs(), 100, "every epoch > k is kept");
+        // The idle session still sees the conflict 99 epochs back.
+        match mgr.commit(idle).unwrap() {
+            CommitOutcome::Aborted { conflict } => assert_eq!(conflict.epoch, winner),
+            other => panic!("expected abort, got {other:?}"),
+        }
+        mgr.close(idle).unwrap();
+        assert_eq!(mgr.retained_epochs(), 0, "the chain collapses to the head");
+        mgr.close(writer).unwrap();
+    }
+
+    /// First-committer-wins' precondition: every live session can
+    /// still validate against every epoch published after its base.
+    fn windows_intact(mgr: &SessionManager) -> bool {
+        let slots = mgr.slots.lock().unwrap();
+        let chain = mgr.epochs.lock().unwrap();
+        let oldest_kept = chain
+            .published
+            .first()
+            .map_or(chain.head.number + 1, |e| e.number);
+        slots.values().all(|s| s.base.number + 1 >= oldest_kept)
+    }
+
+    /// Races session creation against another session's commits, both
+    /// writing the same patients, while two more threads churn
+    /// sessions (create, check, close) so that more threads than cores
+    /// are runnable and creates get preempted mid-way. A trim between
+    /// `create` reading the head and inserting its slot would drop an
+    /// epoch the new session still has to validate against; the window
+    /// check catches that directly (a clean session re-pins at its
+    /// first checkout, which would otherwise mask it). And
+    /// first-committer-wins must never let two overlapping write-sets
+    /// both publish: every committed `+1` stays visible, so the first
+    /// patient's `num` ends exactly `committed` above where it started.
+    #[test]
+    fn create_races_commit_without_losing_updates() {
+        let mgr = SessionManager::new(tiny_db());
+        let probe = mgr.create(CacheMode::Cold);
+        let (mut db, _) = mgr.take(probe).unwrap();
+        let before = num_of_first_patient(&mut db);
+        let limit = db.patient_selectivity_key(1);
+        mgr.restore(probe, db);
+        mgr.close(probe).unwrap();
+
+        const ITERATIONS: usize = 1_000;
+        // 1 if `id`'s `+1` on the first patients was published.
+        let write_commit = |id: u64| {
+            write_patients(&mgr, id, limit, 1);
+            match mgr.commit(id).unwrap() {
+                CommitOutcome::Committed { .. } => 1,
+                CommitOutcome::Aborted { .. } => 0,
+            }
+        };
+        let create_checked = || {
+            let id = mgr.create(CacheMode::Cold);
+            assert!(windows_intact(&mgr), "a trim outran create");
+            id
+        };
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let committed: i64 = std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !done.load(Ordering::Relaxed) {
+                        mgr.close(create_checked()).unwrap();
+                    }
+                });
+            }
+            let writer = s.spawn(|| {
+                let id = mgr.create(CacheMode::Warm);
+                let n: i64 = (0..ITERATIONS).map(|_| write_commit(id)).sum();
+                mgr.close(id).unwrap();
+                n
+            });
+            let creator = s.spawn(|| {
+                (0..ITERATIONS)
+                    .map(|_| {
+                        let id = create_checked();
+                        let n = write_commit(id);
+                        mgr.close(id).unwrap();
+                        n
+                    })
+                    .sum::<i64>()
+            });
+            let joined = (writer.join(), creator.join());
+            done.store(true, Ordering::Relaxed);
+            joined.0.unwrap() + joined.1.unwrap()
+        });
+        assert!(committed > 0);
+        let reader = mgr.create(CacheMode::Cold);
+        let (mut db, _) = mgr.take(reader).unwrap();
+        assert_eq!(num_of_first_patient(&mut db), before + committed);
+        mgr.restore(reader, db);
+        mgr.close(reader).unwrap();
+        assert_eq!(mgr.retained_epochs(), 0);
     }
 
     #[test]

@@ -425,6 +425,10 @@ pub(crate) fn build_filtered(
     // Create everything. `*_rids` index by logical id; `*_order`
     // remember physical (creation) order — extents enumerate in
     // storage order, like a real segment scan.
+    //
+    // From here on each temporary is dropped as soon as nothing reads
+    // it: they are host-side scaffolding, and left alive until the end
+    // they, not the store, set the build's peak resident memory.
     let mut provider_rids: Vec<Rid> = vec![Rid::nil(); p_count];
     let mut patient_rids: Vec<Rid> = vec![Rid::nil(); n_count];
     let mut provider_order: Vec<Rid> = Vec::with_capacity(p_count);
@@ -474,6 +478,8 @@ pub(crate) fn build_filtered(
             ops_since_commit = 0;
         }
     }
+    drop(plan);
+    drop(fanouts);
 
     // Wire the association: patients' pcp, then providers' client sets.
     let mut clients: Vec<Vec<Rid>> = vec![Vec::new(); p_count];
@@ -503,6 +509,8 @@ pub(crate) fn build_filtered(
             }
         }
     }
+    drop(assignment);
+    drop(random_integers);
     for i in 0..p_count {
         if !own_provider(i as u32) {
             continue;
@@ -526,6 +534,7 @@ pub(crate) fn build_filtered(
             }
         }
     }
+    drop(clients);
 
     /// Reads every page of the given files through the cache hierarchy
     /// — the cost of re-running the wiring join once.
@@ -550,6 +559,9 @@ pub(crate) fn build_filtered(
     // order: an extent scan walks storage order.
     store.create_collection("Providers", derby.provider, &provider_order);
     store.create_collection("Patients", derby.patient, &patient_order);
+    let (provider_count, patient_count) = (provider_order.len(), patient_order.len());
+    drop(provider_order);
+    drop(patient_order);
 
     // Indexes, built after load (the paper's recommended order —
     // headroom was already reserved at creation when asked).
@@ -561,6 +573,7 @@ pub(crate) fn build_filtered(
         .filter(|(_, r)| !r.is_nil())
         .map(|(i, &r)| (i as i64, r))
         .collect();
+    drop(provider_rids);
     let upin_clustered = config.organization != Organization::Randomized;
     let idx_provider_upin = BTreeIndex::bulk_build(
         store.stack_mut(),
@@ -569,6 +582,7 @@ pub(crate) fn build_filtered(
         upin_clustered,
         &upin_entries,
     );
+    drop(upin_entries);
     let mrn_entries: Vec<(i64, Rid)> = patient_rids
         .iter()
         .enumerate()
@@ -583,12 +597,15 @@ pub(crate) fn build_filtered(
         mrn_clustered,
         &mrn_entries,
     );
+    drop(mrn_entries);
     let mut num_entries: Vec<(i64, Rid)> = nums
         .iter()
         .zip(&patient_rids)
         .filter(|&(_, r)| !r.is_nil())
         .map(|(&n, &r)| (n, r))
         .collect();
+    drop(nums);
+    drop(patient_rids);
     num_entries.sort_unstable_by_key(|&(k, _)| k);
     let idx_patient_num = BTreeIndex::bulk_build(
         store.stack_mut(),
@@ -597,6 +614,7 @@ pub(crate) fn build_filtered(
         false,
         &num_entries,
     );
+    drop(num_entries);
 
     if config.register_memberships {
         store.register_index_on_collection("Providers", IDX_UPIN);
@@ -619,8 +637,8 @@ pub(crate) fn build_filtered(
         config: config.clone(),
         load_stats: Some(load_stats),
         load_clock_secs,
-        provider_count: provider_order.len() as u64,
-        patient_count: patient_order.len() as u64,
+        provider_count: provider_count as u64,
+        patient_count: patient_count as u64,
         logical_provider_count: p_count as u64,
         logical_patient_count: n_count as u64,
         idx_provider_upin,

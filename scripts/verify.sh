@@ -209,6 +209,29 @@ echo "== perf gate: paper-scale fig11_14 vs committed trajectory (CPU) =="
 # committed record file, documents the measurement) — CPU time is the
 # noise-robust signal. Skippable on
 # hosts with a different CPU class: TQ_SKIP_PERF_GATE=1.
+# Each round's peak resident set (VmHWM) is printed beside the CPU
+# time, for information only: it is not gated.
+
+# Runs "$@" with its output discarded, polling /proc/<pid>/status every
+# 50 ms, and prints the run's VmHWM in kB. Bash builtins only, so the
+# polling forks nothing and adds next to no CPU to the time it is
+# measured under; `read -t` on a pipe no one writes is the sleep.
+run_polling_hwm() {
+    local pid tick key val hwm=0
+    "$@" >/dev/null 2>&1 &
+    pid=$!
+    exec {tick}<> <(:)
+    while kill -0 "$pid" 2>/dev/null; do
+        while read -r key val _; do
+            if [ "$key" = VmHWM: ] && [ "$val" -gt "$hwm" ]; then hwm=$val; fi
+        done 2>/dev/null <"/proc/$pid/status" || true
+        read -rt 0.05 -u "$tick" || true
+    done
+    exec {tick}<&-
+    wait "$pid"
+    echo "$hwm"
+}
+
 if [ "${TQ_SKIP_PERF_GATE:-0}" = "1" ]; then
     echo "skipped (TQ_SKIP_PERF_GATE=1)"
 else
@@ -220,18 +243,20 @@ else
         echo "no committed paper-scale fig11_14 cpu_ms_min3 record;" \
              "nothing to gate"
     else
-        CUR_MS=""
+        CUR_MS="" HWM_KB=0
         for _ in 1 2 3; do
-            T=$( { TIMEFORMAT='%U %S'; time TQ_SCALE=1 TQ_JOBS=1 \
-                ./target/release/fig11_14_joins --db db2 --org class \
-                >/dev/null 2>&1; } 2>&1 | tail -n 1 )
+            OUT=$( { TIMEFORMAT='%U %S'; time run_polling_hwm env TQ_SCALE=1 \
+                TQ_JOBS=1 ./target/release/fig11_14_joins --db db2 --org class; } 2>&1 )
+            T=$(tail -n 1 <<<"$OUT")
+            KB=$(head -n 1 <<<"$OUT")
             MS=$(awk -v u="${T% *}" -v s="${T#* }" \
                 'BEGIN { printf "%d", (u + s) * 1000 }')
             [ -z "$CUR_MS" ] || [ "$MS" -lt "$CUR_MS" ] && CUR_MS=$MS
+            [ "$KB" -gt "$HWM_KB" ] && HWM_KB=$KB
         done
         LIMIT_MS=$(( BASE_MS * 115 / 100 ))
-        echo "paper fig11_14: ${CUR_MS} ms CPU (best committed ${BASE_MS} ms," \
-             "limit ${LIMIT_MS} ms)"
+        echo "paper fig11_14: ${CUR_MS} ms CPU, VmHWM $(( HWM_KB / 1024 )) MB" \
+             "(best committed ${BASE_MS} ms, limit ${LIMIT_MS} ms)"
         if [ "$CUR_MS" -gt "$LIMIT_MS" ]; then
             echo "error: paper-scale fig11_14 CPU time regressed >15% over" \
                  "the committed trajectory (TQ_SKIP_PERF_GATE=1 to bypass)" >&2

@@ -3,6 +3,10 @@
 //! `wire_frozen.hex`, rendered once from the commit before the codec
 //! was refactored. The round-trip properties in `proto_roundtrip.rs`
 //! would let encoder and decoder drift together; this cannot.
+//!
+//! `wire_decode.fp` pins the other direction: which `DecodeError` (or
+//! which decoded value) every payload of a fixed mutation corpus built
+//! from those bytes gets, one FNV-1a digest per variant.
 
 use std::path::PathBuf;
 
@@ -266,6 +270,111 @@ fn every_variant_encodes_to_its_frozen_bytes() {
     panic!(
         "wire encoding drifted from tests/wire_frozen.hex at {first} \
          (actual encodings written to {})",
+        out.display()
+    );
+}
+
+/// Every mutation of one valid payload the decode pin covers: each
+/// prefix (empty and whole included), the payload plus one appended
+/// byte, each byte set to ten values, and each 4-byte window set to
+/// nine little-endian `u32`s (counts and string lengths land there).
+fn mutations(p: &[u8]) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = (0..=p.len()).map(|k| p[..k].to_vec()).collect();
+    out.push([p, &[0]].concat());
+    for i in 0..p.len() {
+        let b = p[i];
+        for v in [0, 1, 2, 3, 0x7f, 0x80, 0xfe, 0xff, b ^ 1, b.wrapping_add(1)] {
+            let mut m = p.to_vec();
+            m[i] = v;
+            out.push(m);
+        }
+    }
+    for i in 0..p.len().saturating_sub(3) {
+        for v in [0u32, 1, 2, 3, 7, 100, 1000, 0x7fff_ffff, u32::MAX] {
+            let mut m = p.to_vec();
+            m[i..i + 4].copy_from_slice(&v.to_le_bytes());
+            out.push(m);
+        }
+    }
+    out
+}
+
+/// FNV-1a (64-bit) over everything written to it.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// One `wire_decode.fp` line: the variant, its corpus size, the
+/// outcome tally, and the digest of every `Debug`-rendered result.
+fn decode_line<T: std::fmt::Debug, E: std::fmt::Debug>(
+    name: &str,
+    payload: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) -> String {
+    use std::fmt::Write;
+    let corpus = mutations(payload);
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut tally: Vec<(String, usize)> = Vec::new();
+    for m in &corpus {
+        let result = decode(m);
+        writeln!(fnv, "{result:?}").unwrap();
+        let kind = match &result {
+            Ok(_) => "Ok".to_string(),
+            Err(e) => format!("{e:?}").split('(').next().unwrap().to_string(),
+        };
+        match tally.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => tally.push((kind, 1)),
+        }
+    }
+    tally.sort();
+    let tally: Vec<String> = tally.iter().map(|(k, n)| format!("{k}={n}")).collect();
+    format!(
+        "{name} {} fnv1a={:016x} {}\n",
+        corpus.len(),
+        fnv.0,
+        tally.join(" ")
+    )
+}
+
+#[test]
+fn mutated_payloads_decode_to_their_pinned_results() {
+    let mut actual = String::new();
+    for (name, req) in requests() {
+        let line = decode_line(&format!("Request::{name}"), &req.encode(), Request::decode);
+        actual.push_str(&line);
+    }
+    for (name, resp) in responses() {
+        let line = decode_line(
+            &format!("Response::{name}"),
+            &resp.encode(),
+            Response::decode,
+        );
+        actual.push_str(&line);
+    }
+    let pinned = include_str!("wire_decode.fp");
+    if actual == pinned {
+        return;
+    }
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("wire_decode.fp");
+    std::fs::write(&out, &actual).expect("write the actual digests");
+    let first = actual
+        .lines()
+        .zip(pinned.lines().chain(std::iter::repeat("<missing>")))
+        .find(|(a, p)| a != p)
+        .map_or("the pinned file has extra lines", |(a, _)| {
+            a.split(' ').next().unwrap_or(a)
+        });
+    panic!(
+        "decoding of mutated payloads drifted from tests/wire_decode.fp at {first} \
+         (actual results written to {})",
         out.display()
     );
 }

@@ -11,40 +11,9 @@ cd "$(dirname "$0")/.."
 echo "== formatting =="
 cargo fmt --check
 
-echo "== raw fetch/release gate (joins must use the executor layer) =="
-# Join modules compose ExecContext operators; pinning objects by hand
-# (store.fetch / store.release) would bypass the RAII guards and the
-# per-operator counter attribution.
-if grep -rnE '\.(fetch|release)\(' crates/core/src/join/; then
-    echo "error: raw fetch()/release() calls under crates/core/src/join/" >&2
-    exit 1
-fi
-
-echo "== one loop body per operator (no batch-size fork in tq-query) =="
-# An operator picks its fetch chunk from what it observes (a live
-# cursor, an overflow set, spilling partitions), never by branching on
-# the TQ_BATCH knob into a second copy of its row logic.
-if grep -rnE 'batch(_size\(\))? <= 1|batch > 1 &&' crates/core/src; then
-    echo "error: a batch-size fork is back under crates/core/src" >&2
-    exit 1
-fi
-
-echo "== one request path from wire to Stat (no per-kind fork in tq-server) =="
-# Joins, chains and updates are one `Work` value on one dispatch →
-# execute → measure path, recorded through one `Stat` shell; a
-# per-kind copy of a stage is the triplicate coming back.
-if grep -rnE 'fn (dispatch|execute)_(query|chain|update)' crates/server/src; then
-    echo "error: a per-kind dispatch/execute fork is back under crates/server/src" >&2
-    exit 1
-fi
-# Constructor literals only: not `-> Stat {` signatures, not `OperatorStat {`.
-STAT_LITERALS=$(awk '/^#\[cfg\(test\)\]/ { exit }
-    /Stat \{/ && !/-> Stat \{/ && !/[A-Za-z_]Stat \{/' \
-    crates/server/src/measure.rs | wc -l)
-if [ "$STAT_LITERALS" -gt 1 ]; then
-    echo "error: measure.rs builds \`Stat { .. }\` in $STAT_LITERALS non-test places (want 1)" >&2
-    exit 1
-fi
+# The source-structure gates (raw pins in joins, batch-size forks,
+# per-kind request stages, `Stat` literals, byte codecs outside
+# proto.rs) are tests/structure.rs, run by the workspace tests below.
 
 echo "== build (release, workspace) =="
 cargo build --release --workspace

@@ -10,8 +10,6 @@ pub struct Filter {
     pub algo: Option<String>,
     /// Clustering strategy, exact.
     pub cluster: Option<String>,
-    /// Substring of the query text.
-    pub query_contains: Option<String>,
     /// Cold-run flag.
     pub cold: Option<bool>,
     /// Required `(extent, selectivity%)` pairs.
@@ -35,12 +33,6 @@ impl Filter {
     /// Restricts to a clustering strategy.
     pub fn cluster(mut self, cluster: &str) -> Self {
         self.cluster = Some(cluster.to_string());
-        self
-    }
-
-    /// Restricts to queries whose text contains `needle`.
-    pub fn query_contains(mut self, needle: &str) -> Self {
-        self.query_contains = Some(needle.to_string());
         self
     }
 
@@ -71,11 +63,6 @@ impl Filter {
         }
         if let Some(c) = &self.cluster {
             if &stat.cluster != c {
-                return false;
-            }
-        }
-        if let Some(q) = &self.query_contains {
-            if !stat.query.text.contains(q.as_str()) {
                 return false;
             }
         }
@@ -140,11 +127,6 @@ impl StatsDb {
     /// Records matching `filter`, in insertion order.
     pub fn select(&self, filter: &Filter) -> Vec<&Stat> {
         self.stats.iter().filter(|s| filter.matches(s)).collect()
-    }
-
-    /// Records matching an arbitrary predicate.
-    pub fn select_where(&self, pred: impl Fn(&Stat) -> bool) -> Vec<&Stat> {
-        self.stats.iter().filter(|s| pred(s)).collect()
     }
 
     /// Records matching `filter`, sorted by ascending elapsed time —
@@ -266,12 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn cold_and_text_filters() {
+    fn cold_filter() {
         let db = db();
         assert_eq!(db.select(&Filter::any().cold(true)).len(), 4);
         assert_eq!(db.select(&Filter::any().cold(false)).len(), 0);
-        assert_eq!(db.select(&Filter::any().query_contains("select")).len(), 4);
-        assert_eq!(db.select(&Filter::any().query_contains("drop")).len(), 0);
     }
 
     #[test]
@@ -292,13 +272,5 @@ mod tests {
         assert!(db
             .summarize(&Filter::any().algo("X"), |s| s.algo.clone())
             .is_empty());
-    }
-
-    #[test]
-    fn select_where_closure() {
-        let db = db();
-        let slow = db.select_where(|s| s.elapsed_time > 1000.0);
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].algo, "NL");
     }
 }

@@ -99,7 +99,7 @@ pub fn to_operator_csv<'a>(stats: impl IntoIterator<Item = &'a Stat>) -> String 
 }
 
 /// Splits one CSV line into fields, undoing [`csv_field`] quoting.
-fn split_csv_line(line: &str) -> Vec<String> {
+pub(crate) fn split_csv_line(line: &str) -> Vec<String> {
     let mut fields = Vec::new();
     let mut cur = String::new();
     let mut in_quotes = false;

@@ -14,6 +14,8 @@
 
 use std::fmt::Write as _;
 
+use crate::export::split_csv_line;
+
 /// Sub-buckets per octave (power of two). 32 gives ≤3.2% relative
 /// error per recorded value.
 pub const SUB_BUCKETS: u64 = 32;
@@ -259,12 +261,6 @@ impl LatencyStat {
         self.aborts as f64 / attempts as f64
     }
 
-    /// Queries shed by an engine shard's admission edge (the total
-    /// minus the router-edge sheds).
-    pub fn shed_shard(&self) -> u64 {
-        self.queries_shed - self.shed_router
-    }
-
     /// Folds another run's summary into this one — the aggregation
     /// that combines per-shard (or per-instance) serving summaries
     /// into a single fleet-level row. All-integer, so the merged
@@ -367,26 +363,6 @@ pub fn to_latency_csv<'a>(stats: impl IntoIterator<Item = &'a LatencyStat>) -> S
         .expect("writing to a String cannot fail");
     }
     out
-}
-
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes && chars.peek() == Some(&'"') => {
-                cur.push('"');
-                chars.next();
-            }
-            '"' => in_quotes = !in_quotes,
-            ',' if !in_quotes => fields.push(std::mem::take(&mut cur)),
-            _ => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
 }
 
 /// Parses [`to_latency_csv`] output back. Returns `None` on a header
@@ -607,7 +583,6 @@ mod tests {
         assert_eq!(a.queries_ok, 5);
         assert_eq!(a.queries_shed, 5);
         assert_eq!(a.shed_router, 3);
-        assert_eq!(a.shed_shard(), 2);
         assert_eq!(a.deadline_exceeded, 4);
         assert_eq!(a.errors, 2);
         assert_eq!(a.commits, 10);

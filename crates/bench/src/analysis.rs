@@ -12,9 +12,10 @@
 //! The regression is ordinary least squares via the normal equations
 //! (the feature count is tiny), solved with Gaussian elimination.
 
-use crate::harness::{build_db, run_join_cell, JoinCell};
+use crate::harness::build_db;
 use tq_pagestore::CostModel;
 use tq_query::{JoinAlgo, JoinOptions};
+use tq_server::measure::{run_join_cell, JoinCell};
 use tq_workload::{DbShape, Organization};
 
 /// One observation: feature vector plus observed elapsed seconds.

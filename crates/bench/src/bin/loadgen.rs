@@ -8,35 +8,30 @@
 
 use std::time::Duration;
 
-use tq_bench::env;
+use tq_bench::harness::{parse_org, parse_shape};
 use tq_bench::serve::{run_serve, ServeConfig};
+use tq_bench::{env, or_exit};
 use tq_query::JoinAlgo;
 use tq_server::CacheMode;
 use tq_statsdb::to_latency_csv;
-use tq_workload::{DbShape, Organization};
 
 fn main() {
-    env::maybe_print_help(
-        "Closed-loop load generator for the tq-server query service: drives \
-         N client sessions against the simulated database and reports \
-         throughput, latency percentiles, and shed rate.",
-        "loadgen [--db db1|db2] [--org class|random|comp|assoc] \
-         [--algo nl|nojoin|phj|chj] [--pat PCT] [--prov PCT] [--warm] \
-         [--deadline-ms N]",
-        &[
-            env::ENV_SCALE,
-            env::ENV_JOBS,
-            env::ENV_CONCURRENCY,
-            env::ENV_DURATION,
-            env::ENV_QUEUE_DEPTH,
-            env::ENV_WRITE_MIX,
-            env::ENV_WARMUP_MS,
-            env::ENV_BATCH,
-            env::ENV_SHARDS,
-            env::ENV_PARALLEL,
-        ],
-    );
     let args: Vec<String> = std::env::args().collect();
+    if args.iter().skip(1).any(|a| a == "--help" || a == "-h") {
+        print!(
+            "{}",
+            env::help(
+                "Closed-loop load generator for the tq-server query service: drives \
+                 N client sessions against the simulated database and reports \
+                 throughput, latency percentiles, and shed rate.",
+                "loadgen [--db db1|db2] [--org class|random|comp|assoc] \
+                 [--algo nl|nojoin|phj|chj] [--pat PCT] [--prov PCT] [--warm] \
+                 [--deadline-ms N]",
+                &env::KNOBS,
+            )
+        );
+        return;
+    }
     let arg = |name: &str, default: &str| -> String {
         args.iter()
             .position(|a| a == name)
@@ -45,20 +40,14 @@ fn main() {
             .unwrap_or_else(|| default.to_string())
     };
     let flag = |name: &str| args.iter().any(|a| a == name);
-    let shape = match arg("--db", "db2").as_str() {
-        "db1" => DbShape::Db1,
-        "db2" => DbShape::Db2,
-        other => exit_usage(&format!("unknown --db {other:?} (use db1|db2)")),
-    };
-    let org = match arg("--org", "class").as_str() {
-        "class" => Organization::ClassClustered,
-        "random" => Organization::Randomized,
-        "comp" | "composition" => Organization::Composition,
-        "assoc" | "assoc-ordered" => Organization::AssociationOrdered,
-        other => exit_usage(&format!(
-            "unknown --org {other:?} (use class|random|comp|assoc)"
-        )),
-    };
+    let (db, org) = (arg("--db", "db2"), arg("--org", "class"));
+    let shape = parse_shape(&db)
+        .unwrap_or_else(|| exit_usage(&format!("unknown --db {db:?} (use db1|db2)")));
+    let org = parse_org(&org).unwrap_or_else(|| {
+        exit_usage(&format!(
+            "unknown --org {org:?} (use class|random|comp|assoc)"
+        ))
+    });
     let algo = match arg("--algo", "chj").as_str() {
         "nl" => JoinAlgo::Nl,
         "nojoin" => JoinAlgo::Nojoin,
@@ -84,30 +73,16 @@ fn main() {
         CacheMode::Cold
     };
     let (scale, jobs) = tq_bench::env_config_or_exit();
-    let or_exit = |r: Result<u32, String>| -> u32 {
-        r.unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    };
-    let concurrency = or_exit(env::concurrency_from_env());
-    let duration_secs = or_exit(env::duration_secs_from_env());
-    let queue_depth = or_exit(env::queue_depth_from_env());
-    let write_mix = or_exit(env::write_mix_from_env());
-    let shards = or_exit(env::shards_from_env());
-    let parallel = env::parallel_from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let var = |name| std::env::var(name).ok();
+    let concurrency = or_exit(env::concurrency(var("TQ_CONCURRENCY").as_deref()));
+    let duration_secs = or_exit(env::duration_secs(var("TQ_DURATION").as_deref()));
+    let queue_depth = or_exit(env::queue_depth(var("TQ_QUEUE_DEPTH").as_deref()));
+    let write_mix = or_exit(env::write_mix(var("TQ_WRITE_MIX").as_deref()));
+    let shards = or_exit(env::shards(var("TQ_SHARDS").as_deref()));
+    let parallel = or_exit(env::parallel(var("TQ_PARALLEL").as_deref()));
     let duration = Duration::from_secs(duration_secs as u64);
-    let warmup = match env::warmup_ms_from_env() {
-        Ok(Some(ms)) => Duration::from_millis(ms),
-        Ok(None) => duration / 5,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let warmup = or_exit(env::warmup_ms(var("TQ_WARMUP_MS").as_deref()))
+        .map_or(duration / 5, Duration::from_millis);
 
     let db = tq_bench::build_db(shape, org, scale);
     let cfg = ServeConfig {

@@ -1,101 +1,80 @@
 //! Environment knobs shared by every binary, and the standard
-//! `--help` prologue.
+//! `--help` text.
 //!
 //! Every `TQ_*` variable any binary honours is parsed here (and
-//! documented in the README's environment table). A set-but-unparseable
-//! value is a hard error: silently falling back to a default would
-//! launch a run the user did not ask for. Errors are returned (not
-//! exited on) so library callers and tests stay testable; the binaries
-//! report them and exit 2.
+//! documented in the README's environment table; the serving ones are
+//! read by `loadgen` only). Each parser takes the
+//! variable's raw value, `None` when unset, so parsing is pure: only the
+//! binaries' `main` and [`crate::env_config_or_exit`] read the process
+//! environment. A set-but-unparseable value is a hard error: silently
+//! falling back to a default would launch a run the user did not ask
+//! for. Errors are returned (not exited on) so library callers and
+//! tests stay testable; the binaries report them and exit 2.
 
-/// Reads the scale divisor from `TQ_SCALE` (default 1 = paper scale).
-pub fn scale_from_env() -> Result<u32, String> {
-    positive_from_env("TQ_SCALE", 1, "the figure scale divisor")
+/// The scale divisor, `TQ_SCALE` (default 1 = paper scale).
+pub fn scale(raw: Option<&str>) -> Result<u32, String> {
+    positive("TQ_SCALE", raw, 1, "the figure scale divisor")
 }
 
-/// Reads the worker count from `TQ_JOBS`.
-///
-/// Defaults to the machine's available parallelism; `1` runs every
-/// cell inline on the main thread (the exact pre-parallel behaviour).
-/// Cells are deterministic either way — any value produces
-/// byte-identical figures. The load generator reuses it as the
-/// server's worker-pool size (the same "how many cores" knob).
-pub fn jobs_from_env() -> Result<usize, String> {
+/// The worker count, `TQ_JOBS` (default: available cores): figure
+/// cells, or the server's worker pool. Figures are byte-identical at
+/// any value; `1` runs every cell inline on the main thread.
+pub fn jobs(raw: Option<&str>) -> Result<usize, String> {
     let default = std::thread::available_parallelism()
         .map(|n| n.get() as u32)
         .unwrap_or(1);
-    positive_from_env("TQ_JOBS", default, "the worker count").map(|n| n as usize)
+    positive("TQ_JOBS", raw, default, "the worker count").map(|n| n as usize)
 }
 
-/// Reads the executor batch size from `TQ_BATCH` (default
-/// [`tq_query::exec::DEFAULT_BATCH_SIZE`]).
-///
-/// `1` runs the legacy scalar path (one operator scope per tuple) —
-/// kept for differential testing. Any value produces byte-identical
-/// figures and `Stat`s; batching only amortizes the executor's own
-/// bookkeeping (counter snapshots, cancellation checks, handle-table
-/// round trips), never the simulated cost model.
-pub fn batch_from_env() -> Result<usize, String> {
-    positive_from_env(
+/// The executor batch size, `TQ_BATCH` (default
+/// [`tq_query::exec::DEFAULT_BATCH_SIZE`]; `1` is the one-object-at-a-time
+/// access sequence the differential oracles compare against). Any value
+/// produces byte-identical figures and `Stat`s.
+pub fn batch(raw: Option<&str>) -> Result<usize, String> {
+    positive(
         "TQ_BATCH",
+        raw,
         tq_query::exec::DEFAULT_BATCH_SIZE as u32,
         "the executor batch size",
     )
     .map(|n| n as usize)
 }
 
-/// Reads the morsel-parallel degree from `TQ_PARALLEL` (default 1 =
-/// the exact serial execution path).
-///
-/// `n > 1` splits each query's driving access path into contiguous
-/// batch-aligned morsels executed on `n` scoped worker threads, each
-/// against a private store clone (the in-process analogue of the
-/// router's per-shard caches). Result counts, descriptions, per-row
-/// handle fetches, and Emit rows are byte-identical at any degree;
-/// cache hit/miss splits and swap faults may differ (private caches
-/// see different interleaves) — `1` is byte-identical, full stop.
-/// The load generator forwards it to the server (or every shard),
-/// which budgets `workers × parallel` against the host's cores.
-pub fn parallel_from_env() -> Result<usize, String> {
-    positive_from_env("TQ_PARALLEL", 1, "the morsel-parallel degree").map(|n| n as usize)
+/// The morsel-parallel degree, `TQ_PARALLEL` (default 1 = the exact
+/// serial path). At `n > 1` each query's driving list is split across
+/// `n` threads on private store clones: results are identical, cache
+/// splits and swap faults may differ. The load generator forwards it
+/// to the server, which budgets `workers × parallel` against the cores.
+pub fn parallel(raw: Option<&str>) -> Result<usize, String> {
+    positive("TQ_PARALLEL", raw, 1, "the morsel-parallel degree").map(|n| n as usize)
 }
 
-/// Reads the closed-loop client count from `TQ_CONCURRENCY`
-/// (default 8) — loadgen only.
-pub fn concurrency_from_env() -> Result<u32, String> {
-    positive_from_env("TQ_CONCURRENCY", 8, "the closed-loop client count")
+/// The closed-loop client count, `TQ_CONCURRENCY` (default 8).
+pub fn concurrency(raw: Option<&str>) -> Result<u32, String> {
+    positive("TQ_CONCURRENCY", raw, 8, "the closed-loop client count")
 }
 
-/// Reads the serving-run duration in wall-clock seconds from
-/// `TQ_DURATION` (default 2) — loadgen only.
-pub fn duration_secs_from_env() -> Result<u32, String> {
-    positive_from_env("TQ_DURATION", 2, "the serving run duration in seconds")
+/// The serving-run duration in wall-clock seconds, `TQ_DURATION` (default 2).
+pub fn duration_secs(raw: Option<&str>) -> Result<u32, String> {
+    positive("TQ_DURATION", raw, 2, "the serving run duration in seconds")
 }
 
-/// Reads the admission-queue depth from `TQ_QUEUE_DEPTH` (default 16)
-/// — loadgen only. `0` is a *meaningful* depth, not an error: it is
-/// the strictest admission policy (shed unless a worker is idle — see
-/// `tq_server::sched`), so this knob parses non-negative.
-pub fn queue_depth_from_env() -> Result<u32, String> {
-    non_negative_from_env("TQ_QUEUE_DEPTH", 16, "the admission queue depth")
+/// The admission-queue depth, `TQ_QUEUE_DEPTH` (default 16). `0` is
+/// valid: shed unless a worker is idle (`tq_server::sched`).
+pub fn queue_depth(raw: Option<&str>) -> Result<u32, String> {
+    non_negative("TQ_QUEUE_DEPTH", raw, 16, "the admission queue depth")
 }
 
-/// Reads the engine-shard count from `TQ_SHARDS` (default 1 =
-/// unsharded, the exact single-server path) — loadgen only. `n > 1`
-/// partitions the database by Rid hash across `n` engine shards and
-/// serves through the scatter-gather router; workers are split across
-/// shards (`max(1, TQ_JOBS / n)` each) so shard counts compete for
-/// the same core budget.
-pub fn shards_from_env() -> Result<u32, String> {
-    positive_from_env("TQ_SHARDS", 1, "the engine shard count")
+/// The engine-shard count, `TQ_SHARDS` (default 1 = unsharded): `n`
+/// Rid-hash shards behind the router, `max(1, TQ_JOBS / n)` workers each.
+pub fn shards(raw: Option<&str>) -> Result<u32, String> {
+    positive("TQ_SHARDS", raw, 1, "the engine shard count")
 }
 
-/// Reads the write percentage for mixed workloads from `TQ_WRITE_MIX`
-/// (default 0 = read-only) — loadgen only. Each closed-loop client
-/// flips a seeded coin per iteration: with probability `n`% it runs a
-/// write transaction (update + commit) instead of a query.
-pub fn write_mix_from_env() -> Result<u32, String> {
-    let n = non_negative_from_env("TQ_WRITE_MIX", 0, "the write percentage")?;
+/// The write percentage, `TQ_WRITE_MIX` (default 0 = read-only): the
+/// chance that a client iteration runs update + commit, not a query.
+pub fn write_mix(raw: Option<&str>) -> Result<u32, String> {
+    let n = non_negative("TQ_WRITE_MIX", raw, 0, "the write percentage")?;
     if n > 100 {
         return Err(format!(
             "TQ_WRITE_MIX (the write percentage) must be in 0..=100, got {n}"
@@ -104,269 +83,112 @@ pub fn write_mix_from_env() -> Result<u32, String> {
     Ok(n)
 }
 
-/// Reads the warmup window in wall-clock milliseconds from
-/// `TQ_WARMUP_MS` — loadgen only. `None` when unset (the load
-/// generator then defaults to a fifth of the run duration). Samples
-/// inside the warmup window are discarded: they measure cold caches
-/// and thread spin-up, not steady state, and counting them inflates
-/// early-run throughput.
-pub fn warmup_ms_from_env() -> Result<Option<u64>, String> {
-    match std::env::var("TQ_WARMUP_MS") {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.parse::<u64>() {
-            Ok(ms) => Ok(Some(ms)),
-            Err(_) => Err(format!(
-                "TQ_WARMUP_MS (the warmup window) must be a non-negative integer \
-                 of milliseconds, got {raw:?}"
-            )),
-        },
-    }
+/// The warmup window in wall-clock milliseconds, `TQ_WARMUP_MS`, whose
+/// samples are discarded; `None` when unset (loadgen takes a fifth).
+pub fn warmup_ms(raw: Option<&str>) -> Result<Option<u64>, String> {
+    let what = "TQ_WARMUP_MS (the warmup window) must be a non-negative integer of milliseconds";
+    raw.map(|raw| raw.parse().map_err(|_| format!("{what}, got {raw:?}")))
+        .transpose()
 }
 
-/// Reads the chain-ordering policy filter from `TQ_PLANNER` —
-/// `fig_multiway` only. `None` when unset (the figure then runs all
-/// three policies side by side); `estimate`, `simpli`, or `syntactic`
-/// selects one. Anything else is a hard error, same as every knob.
-pub fn planner_from_env() -> Result<Option<tq_query::PlannerPolicy>, String> {
-    match std::env::var("TQ_PLANNER") {
-        Err(_) => Ok(None),
-        Ok(raw) => match tq_query::PlannerPolicy::parse(&raw) {
-            Some(policy) => Ok(Some(policy)),
-            None => Err(format!(
-                "TQ_PLANNER (the chain-ordering policy) must be one of \
-                 estimate, simpli, syntactic; got {raw:?}"
-            )),
-        },
-    }
+/// A positive integer from `var`'s raw value, or `default` when unset.
+fn positive(var: &str, raw: Option<&str>, default: u32, what: &str) -> Result<u32, String> {
+    let Some(raw) = raw else { return Ok(default) };
+    let n = raw.parse().ok().filter(|&n| n >= 1);
+    n.ok_or_else(|| format!("{var} ({what}) must be a positive integer, got {raw:?}"))
 }
 
-/// Shared parser: a positive integer from `var`, or `default` when
-/// unset.
-pub fn positive_from_env(var: &str, default: u32, what: &str) -> Result<u32, String> {
-    match std::env::var(var) {
-        Err(_) => Ok(default),
-        Ok(raw) => match raw.parse::<u32>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!(
-                "{var} ({what}) must be a positive integer, got {raw:?}"
-            )),
-        },
-    }
-}
-
-/// Shared parser: a non-negative integer from `var`, or `default` when
+/// A non-negative integer from `var`'s raw value, or `default` when
 /// unset (for knobs where 0 is a meaningful value, not a typo).
-pub fn non_negative_from_env(var: &str, default: u32, what: &str) -> Result<u32, String> {
-    match std::env::var(var) {
-        Err(_) => Ok(default),
-        Ok(raw) => raw
-            .parse::<u32>()
-            .map_err(|_| format!("{var} ({what}) must be a non-negative integer, got {raw:?}")),
-    }
+fn non_negative(var: &str, raw: Option<&str>, default: u32, what: &str) -> Result<u32, String> {
+    raw.map_or(Ok(default), |raw| {
+        raw.parse::<u32>()
+            .map_err(|_| format!("{var} ({what}) must be a non-negative integer, got {raw:?}"))
+    })
 }
 
-/// `(variable, description)` rows for [`maybe_print_help`].
-pub type EnvDoc = (&'static str, &'static str);
+/// Every knob's `--help` row. The figures read the first four; the
+/// load generator reads them all.
+pub const KNOBS: [&str; 10] = [
+    "TQ_SCALE         divide database sizes and caches by n; default 1 = paper scale",
+    "TQ_JOBS          worker threads (figure cells / server workers); default: available cores",
+    "TQ_BATCH         executor batch size; 1 = scalar path; identical output; default 1024",
+    "TQ_PARALLEL      morsel-parallel degree per query; 1 = exact serial path; default 1",
+    "TQ_CONCURRENCY   closed-loop client threads driving the server; default 8",
+    "TQ_DURATION      serving run duration in wall-clock seconds; default 2",
+    "TQ_QUEUE_DEPTH   admission-queue depth; 0 = shed unless a worker is idle; default 16",
+    "TQ_SHARDS        engine shards behind a scatter-gather router; default 1 = unsharded",
+    "TQ_WRITE_MIX     percent of client iterations that update+commit; default 0",
+    "TQ_WARMUP_MS     warmup window in ms, excluded from the measurement; default: duration/5",
+];
 
-/// `TQ_SCALE` help row.
-pub const ENV_SCALE: EnvDoc = (
-    "TQ_SCALE",
-    "divide database sizes (and caches, keeping ratios) by n; default 1 = paper scale",
-);
-/// `TQ_JOBS` help row.
-pub const ENV_JOBS: EnvDoc = (
-    "TQ_JOBS",
-    "worker threads (figure cells / server workers); default: available cores",
-);
-/// `TQ_EXPLAIN` help row.
-pub const ENV_EXPLAIN: EnvDoc = (
-    "TQ_EXPLAIN",
-    "if set, also print per-operator counter tables and the operator CSV",
-);
-/// `TQ_BATCH` help row.
-pub const ENV_BATCH: EnvDoc = (
-    "TQ_BATCH",
-    "executor batch size; 1 = scalar path; output is identical either way; default 1024",
-);
-/// `TQ_PARALLEL` help row.
-pub const ENV_PARALLEL: EnvDoc = (
-    "TQ_PARALLEL",
-    "morsel-parallel degree per query; 1 = exact serial path (byte-identical output); default 1",
-);
-/// `TQ_CONCURRENCY` help row.
-pub const ENV_CONCURRENCY: EnvDoc = (
-    "TQ_CONCURRENCY",
-    "closed-loop client threads driving the server; default 8",
-);
-/// `TQ_DURATION` help row.
-pub const ENV_DURATION: EnvDoc = (
-    "TQ_DURATION",
-    "serving run duration in wall-clock seconds; default 2",
-);
-/// `TQ_QUEUE_DEPTH` help row.
-pub const ENV_QUEUE_DEPTH: EnvDoc = (
-    "TQ_QUEUE_DEPTH",
-    "admission-queue depth; arrivals beyond it are shed; 0 = shed unless a worker is idle; default 16",
-);
-/// `TQ_SHARDS` help row.
-pub const ENV_SHARDS: EnvDoc = (
-    "TQ_SHARDS",
-    "engine shards behind a scatter-gather router; 1 = unsharded single server; default 1",
-);
-/// `TQ_WRITE_MIX` help row.
-pub const ENV_WRITE_MIX: EnvDoc = (
-    "TQ_WRITE_MIX",
-    "percent of client iterations that run a write transaction (update+commit); default 0",
-);
-/// `TQ_WARMUP_MS` help row.
-pub const ENV_WARMUP_MS: EnvDoc = (
-    "TQ_WARMUP_MS",
-    "warmup window in ms, excluded from throughput/latency; default: duration/5",
-);
-/// `TQ_PLANNER` help row.
-pub const ENV_PLANNER: EnvDoc = (
-    "TQ_PLANNER",
-    "chain-ordering policy: estimate | simpli | syntactic; default: run all three",
-);
-
-/// Standard `--help`/`-h` handling: when present in the arguments,
-/// prints the about text, usage line, and environment table, then
-/// exits 0. Binaries call this first.
-pub fn maybe_print_help(about: &str, usage: &str, env_vars: &[EnvDoc]) {
-    if !std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
-        return;
-    }
-    println!("{about}\n\nUsage: {usage}");
-    if !env_vars.is_empty() {
-        println!("\nEnvironment:");
-        for (var, what) in env_vars {
-            println!("  {var:<16} {what}");
-        }
-    }
-    std::process::exit(0);
+/// The `--help` text: the about text, usage, and environment table.
+pub fn help(about: &str, usage: &str, knobs: &[&str]) -> String {
+    let rows: String = knobs.iter().map(|k| format!("  {k}\n")).collect();
+    format!("{about}\n\nUsage: {usage}\n\nEnvironment:\n{rows}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Env-var mutation is process-global: one test covers all parsers
-    // sequentially (the figure-env tests in parallel_matches_serial.rs
-    // cover TQ_SCALE/TQ_JOBS the same way).
     #[test]
     fn serving_knobs_parse_and_reject() {
         for (var, parse, default) in [
-            (
-                "TQ_CONCURRENCY",
-                concurrency_from_env as fn() -> Result<u32, String>,
-                8,
-            ),
-            ("TQ_DURATION", duration_secs_from_env, 2),
-            ("TQ_SHARDS", shards_from_env, 1),
+            ("TQ_CONCURRENCY", concurrency as fn(_) -> _, 8),
+            ("TQ_DURATION", duration_secs, 2),
+            ("TQ_SHARDS", shards, 1),
         ] {
-            std::env::remove_var(var);
-            assert_eq!(parse(), Ok(default));
-            std::env::set_var(var, "3");
-            assert_eq!(parse(), Ok(3));
-            std::env::set_var(var, "zero");
-            let err = parse().unwrap_err();
+            assert_eq!(parse(None), Ok(default));
+            assert_eq!(parse(Some("3")), Ok(3));
+            let err = parse(Some("zero")).unwrap_err();
             assert!(err.contains(var) && err.contains("positive integer"));
-            std::env::set_var(var, "0");
-            assert!(parse().is_err());
-            std::env::remove_var(var);
+            assert!(parse(Some("0")).is_err());
         }
 
         // TQ_QUEUE_DEPTH: 0 is the shed-unless-idle policy, a *valid*
         // configuration — it must parse, not error or silently clamp.
-        std::env::remove_var("TQ_QUEUE_DEPTH");
-        assert_eq!(queue_depth_from_env(), Ok(16));
-        std::env::set_var("TQ_QUEUE_DEPTH", "0");
-        assert_eq!(queue_depth_from_env(), Ok(0), "depth 0 is shed-unless-idle");
-        std::env::set_var("TQ_QUEUE_DEPTH", "7");
-        assert_eq!(queue_depth_from_env(), Ok(7));
-        std::env::set_var("TQ_QUEUE_DEPTH", "-1");
-        assert!(queue_depth_from_env().is_err());
-        std::env::set_var("TQ_QUEUE_DEPTH", "deep");
-        let err = queue_depth_from_env().unwrap_err();
+        assert_eq!(queue_depth(None), Ok(16));
+        assert_eq!(queue_depth(Some("0")), Ok(0), "depth 0 is shed-unless-idle");
+        assert_eq!(queue_depth(Some("7")), Ok(7));
+        assert!(queue_depth(Some("-1")).is_err());
+        let err = queue_depth(Some("deep")).unwrap_err();
         assert!(err.contains("TQ_QUEUE_DEPTH") && err.contains("non-negative"));
-        std::env::remove_var("TQ_QUEUE_DEPTH");
 
         // TQ_WRITE_MIX: a percentage, 0 included, 100 the ceiling.
-        std::env::remove_var("TQ_WRITE_MIX");
-        assert_eq!(write_mix_from_env(), Ok(0));
-        std::env::set_var("TQ_WRITE_MIX", "0");
-        assert_eq!(write_mix_from_env(), Ok(0));
-        std::env::set_var("TQ_WRITE_MIX", "30");
-        assert_eq!(write_mix_from_env(), Ok(30));
-        std::env::set_var("TQ_WRITE_MIX", "100");
-        assert_eq!(write_mix_from_env(), Ok(100));
-        std::env::set_var("TQ_WRITE_MIX", "101");
-        assert!(write_mix_from_env().unwrap_err().contains("0..=100"));
-        std::env::set_var("TQ_WRITE_MIX", "many");
-        assert!(write_mix_from_env().is_err());
-        std::env::remove_var("TQ_WRITE_MIX");
+        assert_eq!(write_mix(None), Ok(0));
+        assert_eq!(write_mix(Some("0")), Ok(0));
+        assert_eq!(write_mix(Some("30")), Ok(30));
+        assert_eq!(write_mix(Some("100")), Ok(100));
+        assert!(write_mix(Some("101")).unwrap_err().contains("0..=100"));
+        assert!(write_mix(Some("many")).is_err());
 
         // TQ_BATCH: unset means the compiled default, 1 is the scalar
         // path (valid), 0 and garbage are rejected — a silently
         // clamped batch size would hide a typo'd perf experiment.
-        std::env::remove_var("TQ_BATCH");
-        assert_eq!(batch_from_env(), Ok(tq_query::exec::DEFAULT_BATCH_SIZE));
-        std::env::set_var("TQ_BATCH", "1");
-        assert_eq!(batch_from_env(), Ok(1), "1 selects the scalar path");
-        std::env::set_var("TQ_BATCH", "7");
-        assert_eq!(batch_from_env(), Ok(7));
-        std::env::set_var("TQ_BATCH", "0");
-        assert!(batch_from_env().is_err());
-        std::env::set_var("TQ_BATCH", "huge");
-        let err = batch_from_env().unwrap_err();
+        assert_eq!(batch(None), Ok(tq_query::exec::DEFAULT_BATCH_SIZE));
+        assert_eq!(batch(Some("1")), Ok(1), "1 selects the scalar path");
+        assert_eq!(batch(Some("7")), Ok(7));
+        assert!(batch(Some("0")).is_err());
+        let err = batch(Some("huge")).unwrap_err();
         assert!(err.contains("TQ_BATCH") && err.contains("positive integer"));
-        std::env::remove_var("TQ_BATCH");
 
         // TQ_PARALLEL: unset means serial (degree 1), 1 is explicit
         // serial, 0 and garbage are rejected — the binaries exit 2 on
         // the error rather than silently running a serial experiment
         // labelled parallel.
-        std::env::remove_var("TQ_PARALLEL");
-        assert_eq!(parallel_from_env(), Ok(1));
-        std::env::set_var("TQ_PARALLEL", "1");
-        assert_eq!(parallel_from_env(), Ok(1), "1 is the exact serial path");
-        std::env::set_var("TQ_PARALLEL", "4");
-        assert_eq!(parallel_from_env(), Ok(4));
-        std::env::set_var("TQ_PARALLEL", "0");
-        assert!(parallel_from_env().is_err());
-        std::env::set_var("TQ_PARALLEL", "banana");
-        let err = parallel_from_env().unwrap_err();
+        assert_eq!(parallel(None), Ok(1));
+        assert_eq!(parallel(Some("1")), Ok(1), "1 is the exact serial path");
+        assert_eq!(parallel(Some("4")), Ok(4));
+        assert!(parallel(Some("0")).is_err());
+        let err = parallel(Some("banana")).unwrap_err();
         assert!(err.contains("TQ_PARALLEL") && err.contains("positive integer"));
-        std::env::remove_var("TQ_PARALLEL");
 
         // TQ_WARMUP_MS: unset means "derive from duration", 0 means
         // "no warmup", any other integer is taken literally.
-        std::env::remove_var("TQ_WARMUP_MS");
-        assert_eq!(warmup_ms_from_env(), Ok(None));
-        std::env::set_var("TQ_WARMUP_MS", "0");
-        assert_eq!(warmup_ms_from_env(), Ok(Some(0)));
-        std::env::set_var("TQ_WARMUP_MS", "250");
-        assert_eq!(warmup_ms_from_env(), Ok(Some(250)));
-        std::env::set_var("TQ_WARMUP_MS", "soon");
-        assert!(warmup_ms_from_env().is_err());
-        std::env::remove_var("TQ_WARMUP_MS");
-
-        // TQ_PLANNER: unset means "all three policies", an exact label
-        // selects one, anything else (including case variants) errors.
-        std::env::remove_var("TQ_PLANNER");
-        assert_eq!(planner_from_env(), Ok(None));
-        for policy in tq_query::PlannerPolicy::all() {
-            std::env::set_var("TQ_PLANNER", policy.label());
-            assert_eq!(planner_from_env(), Ok(Some(policy)));
-        }
-        for bad in ["greedy", "Estimate", "SIMPLI", ""] {
-            std::env::set_var("TQ_PLANNER", bad);
-            let err = planner_from_env().unwrap_err();
-            assert!(
-                err.contains("TQ_PLANNER") && err.contains("syntactic"),
-                "{err}"
-            );
-        }
-        std::env::remove_var("TQ_PLANNER");
+        assert_eq!(warmup_ms(None), Ok(None));
+        assert_eq!(warmup_ms(Some("0")), Ok(Some(0)));
+        assert_eq!(warmup_ms(Some("250")), Ok(Some(250)));
+        assert!(warmup_ms(Some("soon")).is_err());
     }
 }

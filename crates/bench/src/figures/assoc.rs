@@ -8,10 +8,11 @@
 //! clustering]". This experiment builds that organization and checks
 //! the prediction.
 
-use crate::harness::{build_db, run_join_cell};
+use crate::harness::build_db;
 use crate::parallel::run_cells;
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{seq_scan, JoinAlgo, JoinOptions};
+use tq_server::measure::run_join_cell;
 use tq_workload::{patient_attr, Database, DbShape, Organization};
 
 /// Seconds for the reference workloads under one organization.

@@ -8,10 +8,11 @@
 //! 5%" — objects are accessed truly randomly, so pages are read more
 //! than once.
 
-use crate::harness::{build_db, operator_rows};
+use crate::harness::build_db;
 use crate::parallel::run_cells;
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{index_scan, seq_scan, ExecTrace};
+use tq_server::measure::operator_rows;
 use tq_statsdb::{ExtentDesc, QueryDesc, Stat, StatsDb, SystemDesc};
 use tq_workload::{patient_attr, Database, DbShape, Organization};
 

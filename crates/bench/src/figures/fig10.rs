@@ -1,9 +1,10 @@
 //! Figure 10: hash-table size approximations, formula vs. measurement.
 
-use crate::harness::{build_db, run_join_cell};
+use crate::harness::build_db;
 use crate::paper::FIG10_HASH_SIZES;
 use crate::parallel::run_cells;
 use tq_query::{hash_table_bytes, JoinAlgo};
+use tq_server::measure::run_join_cell;
 use tq_workload::{DbShape, Organization};
 
 /// One row: the paper's approximation, our formula, and (when run) the

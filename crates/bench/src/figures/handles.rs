@@ -8,12 +8,13 @@
 //!   and a Figure 11 cell under
 //!   [`CostModel::sparc20_improved_handles`].
 
-use crate::harness::{build_db, run_join_cell};
+use crate::harness::build_db;
 use crate::parallel::run_cells;
 use tq_pagestore::CostModel;
 use tq_query::join::JoinOptions;
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{seq_scan, sorted_index_scan, HashKeyMode, JoinAlgo};
+use tq_server::measure::run_join_cell;
 use tq_workload::{patient_attr, DbShape, Organization};
 
 /// §4.1 measurement.

@@ -7,9 +7,10 @@
 //! much memory" disappears once the hash joins stop requiring too much
 //! memory.
 
-use crate::harness::{build_db, run_join_cell};
+use crate::harness::build_db;
 use crate::parallel::run_cells;
 use tq_query::{JoinAlgo, JoinOptions};
+use tq_server::measure::run_join_cell;
 use tq_workload::{DbShape, Organization};
 
 /// One cell, measured three ways.

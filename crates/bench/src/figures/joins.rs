@@ -1,9 +1,10 @@
 //! Figures 11–14: the join-algorithm comparison tables.
 
-use crate::harness::{build_db, run_join_cell, stat_record};
+use crate::harness::build_db;
 use crate::paper;
 use crate::parallel::run_cells;
 use tq_query::{JoinAlgo, JoinOptions};
+use tq_server::measure::{run_join_cell, stat_record};
 use tq_statsdb::{Filter, StatsDb};
 use tq_workload::{Database, DbShape, Organization};
 
@@ -97,16 +98,11 @@ pub fn run_join_figure_on(db: &Database, scale: u32, jobs: usize) -> JoinFigure 
     }
 }
 
-/// Renders the `TQ_EXPLAIN` view: one per-operator counter table per
+/// Renders the `--explain` view: one per-operator counter table per
 /// measured run, with the rows' field-wise sum and the query-level
 /// `Stat` line below it — by the executor's attribution invariant the
-/// two lines agree exactly.
-pub fn print_explain(fig: &JoinFigure) -> String {
-    explain_tables(&fig.stats)
-}
-
-/// The per-operator counter tables for any stats database — shared by
-/// the join figures and the multiway plan-quality figure.
+/// two lines agree exactly. Shared by the join figures and the
+/// multiway plan-quality figure.
 pub fn explain_tables(stats: &StatsDb) -> String {
     use std::fmt::Write;
     let mut out = String::new();

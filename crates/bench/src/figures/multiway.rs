@@ -15,7 +15,7 @@ use crate::parallel::run_cells;
 use tq_query::{render_chain_plan, PlannerPolicy};
 use tq_server::measure::{chain_stat_record, compile_chain_spec, run_chain_cell};
 use tq_statsdb::StatsDb;
-use tq_workload::{Database, DbShape, Organization};
+use tq_workload::{DbShape, Organization};
 
 /// The selectivity cells: `(patient %, provider %)`. One cheap side,
 /// one expensive side, and the symmetric middle — the cases where the
@@ -55,7 +55,7 @@ pub struct MultiwayFigure {
     pub org: Organization,
     /// Scale divisor used.
     pub scale: u32,
-    /// Policies measured (all three, or the `TQ_PLANNER` selection).
+    /// Policies measured (all three, or the `--planner` selection).
     pub policies: Vec<PlannerPolicy>,
     /// Every run, in (depth, cell, policy) order.
     pub rows: Vec<MultiwayRow>,
@@ -65,8 +65,8 @@ pub struct MultiwayFigure {
 
 /// Runs the figure: every depth × selectivity cell × policy, each on
 /// its own cold clone of the master database, fanned across `jobs`
-/// workers. `policy` narrows to one ordering policy (the `TQ_PLANNER`
-/// knob); `None` measures all three side by side.
+/// workers. `policy` narrows to one ordering policy (the `--planner`
+/// flag); `None` measures all three side by side.
 pub fn run(
     shape: DbShape,
     org: Organization,
@@ -74,17 +74,7 @@ pub fn run(
     jobs: usize,
     policy: Option<PlannerPolicy>,
 ) -> MultiwayFigure {
-    let master = build_db(shape, org, scale);
-    run_on(&master, scale, jobs, policy)
-}
-
-/// Like [`run`], reusing an existing database as the master.
-pub fn run_on(
-    master: &Database,
-    scale: u32,
-    jobs: usize,
-    policy: Option<PlannerPolicy>,
-) -> MultiwayFigure {
+    let master = &build_db(shape, org, scale);
     let policies: Vec<PlannerPolicy> = match policy {
         Some(p) => vec![p],
         None => PlannerPolicy::all().to_vec(),

@@ -1,7 +1,8 @@
 //! # tq-bench — figure and table regeneration
 //!
-//! One module (and one binary) per table/figure of the paper's
-//! evaluation; see `DESIGN.md` for the experiment index. Each figure
+//! One module per table/figure of the paper's evaluation, run by the
+//! `tq-fig <name>` binary over the [`figures::FIGURES`] registry; see
+//! `DESIGN.md` for the experiment index. Each figure
 //! runs the real engine under the paper's measurement protocol (cold
 //! caches, Figure 3 counters), stores every run in a
 //! [`StatsDb`](tq_statsdb::StatsDb), and prints its table by *querying
@@ -18,58 +19,29 @@ pub mod paper;
 pub mod parallel;
 pub mod serve;
 
-pub use env::{jobs_from_env, scale_from_env};
-pub use harness::{build_db, join_spec, physical_profile, run_join_cell, JoinCell};
-pub use parallel::run_cells;
-pub use serve::{run_serve, ServeConfig, ServeOutcome};
+pub use harness::{build_db, physical_profile};
+pub use serve::{run_serve, ServeConfig};
 
-/// Reads `TQ_SCALE`, `TQ_JOBS`, `TQ_BATCH`, and `TQ_PARALLEL`,
-/// exiting with status 2 on a bad value — the standard prologue of
-/// every figure binary. The batch size and the morsel-parallel degree
-/// are installed process-wide
-/// ([`tq_query::exec::set_default_batch_size`] /
-/// [`tq_query::exec::set_default_parallel_degree`]) so every
-/// measurement the run makes — including ones on worker threads —
-/// picks them up.
+/// Reads `TQ_SCALE`, `TQ_JOBS`, `TQ_BATCH`, and `TQ_PARALLEL`, exiting
+/// 2 on a bad value. The batch size and the morsel-parallel degree are
+/// installed process-wide ([`tq_query::exec::set_default_batch_size`],
+/// [`tq_query::exec::set_default_parallel_degree`]).
 pub fn env_config_or_exit() -> (u32, usize) {
-    let scale = scale_from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let jobs = jobs_from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let batch = env::batch_from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    tq_query::exec::set_default_batch_size(batch);
-    let parallel = env::parallel_from_env().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    tq_query::exec::set_default_parallel_degree(parallel);
+    let var = |name| std::env::var(name).ok();
+    let scale = or_exit(env::scale(var("TQ_SCALE").as_deref()));
+    let jobs = or_exit(env::jobs(var("TQ_JOBS").as_deref()));
+    tq_query::exec::set_default_batch_size(or_exit(env::batch(var("TQ_BATCH").as_deref())));
+    tq_query::exec::set_default_parallel_degree(or_exit(env::parallel(
+        var("TQ_PARALLEL").as_deref(),
+    )));
     (scale, jobs)
 }
 
-/// CPU time (user + system) this process has consumed so far, in
-/// milliseconds — the perf-gate's currency: wall clock on a shared
-/// 1-core CI host measures the neighbours, CPU time measures us.
-/// Linux-only (`/proc/self/stat` utime+stime, in clock ticks of 10ms —
-/// `sysconf(_SC_CLK_TCK)` is 100 on every Linux the gate runs on);
-/// `None` elsewhere, and callers fall back to wall clock.
-pub fn process_cpu_ms() -> Option<u64> {
-    if !cfg!(target_os = "linux") {
-        return None;
-    }
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // Field 2 (comm) may contain spaces; fields after the closing
-    // paren are whitespace-split, with utime and stime at (0-indexed)
-    // positions 11 and 12.
-    let after = &stat[stat.rfind(')')? + 1..];
-    let fields: Vec<&str> = after.split_whitespace().collect();
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some((utime + stime) * 1000 / 100)
+/// The value, or the error on stderr and exit status 2 — how the
+/// binaries report a bad argument or knob.
+pub fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }

@@ -15,11 +15,12 @@
 
 mod golden;
 
-use tq_bench::harness::{build_db, join_spec, operator_rows, run_join_cell, stat_record};
+use tq_bench::build_db;
 use tq_query::exec::{set_default_batch_size, DEFAULT_BATCH_SIZE};
 use tq_query::join::{smj, JoinContext, JoinOptions};
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{index_scan, seq_scan, sorted_index_scan, JoinAlgo};
+use tq_server::measure::{join_spec, operator_rows, run_join_cell, stat_record};
 use tq_server::measure::{measure_update_current, update_stat_record};
 use tq_server::UpdateTarget;
 use tq_simrng::SimRng;

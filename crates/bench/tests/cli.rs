@@ -1,0 +1,112 @@
+//! The binaries' command-line contract, run as processes: a malformed
+//! argument or knob exits 2 and names itself before any database is
+//! built, `--help` is generated from the registry, and
+//! `TQ_PARALLEL=1` leaves figure stdout byte-identical.
+
+use std::process::{Command, Output};
+
+use tq_bench::figures::FIGURES;
+
+const KNOBS: &[&str] = &[
+    "TQ_SCALE",
+    "TQ_JOBS",
+    "TQ_BATCH",
+    "TQ_PARALLEL",
+    "TQ_SHARDS",
+    "TQ_CONCURRENCY",
+    "TQ_DURATION",
+    "TQ_QUEUE_DEPTH",
+    "TQ_WRITE_MIX",
+    "TQ_WARMUP_MS",
+];
+
+/// Runs `bin args` at scale 1000 with two workers, every other knob
+/// unset except `knobs`.
+fn run(bin: &str, args: &[&str], knobs: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(bin);
+    for knob in KNOBS {
+        cmd.env_remove(knob);
+    }
+    cmd.env("TQ_SCALE", "1000").env("TQ_JOBS", "2");
+    cmd.args(args).envs(knobs.iter().copied());
+    cmd.output().expect("run the binary")
+}
+
+/// Asserts exit status 2 with `needle` in stderr.
+fn rejects(bin: &str, args: &[&str], knobs: &[(&str, &str)], needle: &str) {
+    let out = run(bin, args, knobs);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} {knobs:?}: {stderr}");
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: {stderr:?} lacks {needle:?}"
+    );
+}
+
+const TQ_FIG: &str = env!("CARGO_BIN_EXE_tq-fig");
+const LOADGEN: &str = env!("CARGO_BIN_EXE_loadgen");
+
+#[test]
+fn malformed_arguments_exit_2_and_name_the_argument() {
+    rejects(TQ_FIG, &[], &[], "Usage: tq-fig");
+    rejects(TQ_FIG, &["fig99_nothing"], &[], "\"fig99_nothing\"");
+    rejects(
+        TQ_FIG,
+        &["fig11_14_joins", "--dbb", "db2"],
+        &[],
+        "\"--dbb\"",
+    );
+    rejects(TQ_FIG, &["fig06_selection", "--db", "db2"], &[], "--db");
+    rejects(
+        TQ_FIG,
+        &["fig11_14_joins", "--db"],
+        &[],
+        "--db needs a value",
+    );
+    let twice = ["fig11_14_joins", "--db", "db1", "--db", "db2"];
+    rejects(TQ_FIG, &twice, &[], "--db given twice");
+    rejects(TQ_FIG, &["fig11_14_joins", "--org", "cls"], &[], "\"cls\"");
+    rejects(
+        TQ_FIG,
+        &["fig_multiway", "--planner", "greedy"],
+        &[],
+        "\"greedy\"",
+    );
+}
+
+#[test]
+fn malformed_knobs_exit_2_and_name_the_knob() {
+    let fig = ["fig11_14_joins", "--db", "db2"];
+    rejects(TQ_FIG, &fig, &[("TQ_PARALLEL", "banana")], "TQ_PARALLEL");
+    rejects(TQ_FIG, &fig, &[("TQ_SCALE", "0")], "TQ_SCALE");
+    rejects(LOADGEN, &[], &[("TQ_PARALLEL", "banana")], "TQ_PARALLEL");
+    rejects(LOADGEN, &[], &[("TQ_SHARDS", "banana")], "TQ_SHARDS");
+    rejects(LOADGEN, &[], &[("TQ_WRITE_MIX", "101")], "TQ_WRITE_MIX");
+}
+
+#[test]
+fn help_is_generated_from_the_registry() {
+    let out = run(TQ_FIG, &["--help"], &[]);
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).unwrap();
+    for fig in FIGURES {
+        assert!(help.contains(fig.name), "tq-fig --help lacks {}", fig.name);
+    }
+    let out = run(TQ_FIG, &["fig_multiway", "--help"], &[]);
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).unwrap();
+    assert!(help.contains("[--explain] [--planner estimate|simpli|syntactic]"));
+    assert!(!help.contains("--measure"));
+}
+
+/// Degree 1 is the default, so stdout must be byte-identical with
+/// `TQ_PARALLEL` unset and set to 1.
+#[test]
+fn parallel_degree_one_is_the_serial_path() {
+    let args = ["fig11_14_joins", "--db", "db2", "--org", "class"];
+    let unset = run(TQ_FIG, &args, &[]);
+    let one = run(TQ_FIG, &args, &[("TQ_PARALLEL", "1")]);
+    assert!(unset.status.success() && one.status.success());
+    assert!(!unset.stdout.is_empty());
+    assert!(unset.stdout == one.stdout, "TQ_PARALLEL=1 changed stdout");
+}

@@ -4,8 +4,9 @@
 //! paper-scale cells across workers without `TQ_JOBS × database`
 //! memory.
 
-use tq_bench::{build_db, run_join_cell};
+use tq_bench::build_db;
 use tq_query::{JoinAlgo, JoinOptions};
+use tq_server::measure::run_join_cell;
 use tq_workload::{DbShape, Organization};
 
 #[test]

@@ -4,8 +4,7 @@
 //! for field, no rounding — to the query-level totals the harness
 //! stores in the Figure 3 `Stat` record.
 
-use tq_bench::harness::{build_db, join_spec, run_join_cell, run_join_cell_parallel, stat_record};
-use tq_bench::JoinCell;
+use tq_bench::build_db;
 use tq_query::join::{smj, JoinContext, JoinOptions};
 use tq_query::plan::chain_pipeline;
 use tq_query::{JoinAlgo, OpKind, PlannerPolicy};
@@ -13,6 +12,7 @@ use tq_server::measure::{
     chain_stat_record, compile_chain_spec, measure_update_current, run_chain_cell,
     update_stat_record,
 };
+use tq_server::measure::{join_spec, run_join_cell, run_join_cell_parallel, stat_record, JoinCell};
 use tq_server::UpdateTarget;
 use tq_statsdb::Stat;
 use tq_workload::{Database, DbShape, Organization};

@@ -32,11 +32,12 @@
 
 mod golden;
 
-use tq_bench::harness::{build_db, join_spec, run_join_cell, run_join_cell_parallel, stat_record};
+use tq_bench::build_db;
 use tq_query::join::parallel::run_join_parallel;
 use tq_query::join::{JoinContext, JoinOptions};
 use tq_query::{JoinAlgo, ParallelRun};
 use tq_router::{Router, RouterConfig};
+use tq_server::measure::{join_spec, run_join_cell, run_join_cell_parallel, stat_record};
 use tq_server::{CacheMode, Client, DuplexStream, QuerySpec, Response, Server, ServerConfig};
 use tq_statsdb::Stat;
 use tq_workload::{Database, DbShape, Organization};

@@ -9,10 +9,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use tq_bench::harness::{build_db, run_join_cell, run_join_cell_parallel};
+use tq_bench::build_db;
 use tq_query::join::parallel::{clear_worker_panic, inject_worker_panic};
 use tq_query::join::JoinOptions;
 use tq_query::{CancelToken, Cancelled, JoinAlgo, MorselPanic};
+use tq_server::measure::{run_join_cell, run_join_cell_parallel};
 use tq_server::{CacheMode, Client, QuerySpec, Response, Server, ServerConfig};
 use tq_workload::{DbShape, Organization};
 

@@ -3,8 +3,8 @@
 //! bit-identical `Stat` records (simulated seconds are `f64`-equal,
 //! every I/O counter matches exactly).
 
+use tq_bench::env;
 use tq_bench::figures::{fig06, joins};
-use tq_bench::{jobs_from_env, scale_from_env};
 use tq_workload::{DbShape, Organization};
 
 #[test]
@@ -52,29 +52,18 @@ fn fig06_rows_identical_at_any_worker_count() {
 }
 
 /// `TQ_SCALE`/`TQ_JOBS` parsing: defaults when unset, `Err` (not a
-/// process exit) on garbage. One test owns both variables so no other
-/// test in this binary races the environment.
+/// process exit) on garbage.
 #[test]
 fn env_knobs_parse_or_error() {
-    for var in ["TQ_SCALE", "TQ_JOBS"] {
-        std::env::remove_var(var);
-    }
-    assert_eq!(scale_from_env(), Ok(1));
-    assert!(jobs_from_env().unwrap() >= 1);
+    assert_eq!(env::scale(None), Ok(1));
+    assert!(env::jobs(None).unwrap() >= 1);
 
-    std::env::set_var("TQ_SCALE", "250");
-    assert_eq!(scale_from_env(), Ok(250));
-    std::env::set_var("TQ_SCALE", "0");
-    assert!(scale_from_env().unwrap_err().contains("TQ_SCALE"));
-    std::env::set_var("TQ_SCALE", "lots");
-    assert!(scale_from_env().unwrap_err().contains("positive integer"));
+    assert_eq!(env::scale(Some("250")), Ok(250));
+    assert!(env::scale(Some("0")).unwrap_err().contains("TQ_SCALE"));
+    assert!(env::scale(Some("lots"))
+        .unwrap_err()
+        .contains("positive integer"));
 
-    std::env::set_var("TQ_JOBS", "8");
-    assert_eq!(jobs_from_env(), Ok(8));
-    std::env::set_var("TQ_JOBS", "-3");
-    assert!(jobs_from_env().unwrap_err().contains("TQ_JOBS"));
-
-    for var in ["TQ_SCALE", "TQ_JOBS"] {
-        std::env::remove_var(var);
-    }
+    assert_eq!(env::jobs(Some("8")), Ok(8));
+    assert!(env::jobs(Some("-3")).unwrap_err().contains("TQ_JOBS"));
 }

@@ -6,9 +6,10 @@
 //! (BuildConfig::scaled divides them together).
 
 use tq_bench::figures::{fig06, fig07, joins};
-use tq_bench::{physical_profile, run_join_cell};
+use tq_bench::physical_profile;
 use tq_query::planner::{choose_join, Strategy};
 use tq_query::JoinAlgo;
+use tq_server::measure::run_join_cell;
 use tq_workload::{DbShape, Organization};
 
 /// Figure 6: the unclustered-index crossover sits at low selectivity.

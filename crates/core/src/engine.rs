@@ -127,8 +127,8 @@ pub struct Engine {
     indexes: Vec<EngineIndex>,
     /// Join options used for every join execution.
     pub join_options: JoinOptions,
-    /// Ordering policy for N-way binding chains (the `TQ_PLANNER`
-    /// knob; 2-way tree joins keep using `Strategy`).
+    /// Ordering policy for N-way binding chains (`tq-fig
+    /// fig_multiway --planner`; 2-way tree joins keep using `Strategy`).
     pub chain_policy: PlannerPolicy,
 }
 

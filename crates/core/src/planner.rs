@@ -134,7 +134,7 @@ pub fn choose_selection(
     }
 }
 
-/// Chain join-ordering policy — the `TQ_PLANNER` knob.
+/// Chain join-ordering policy — `tq-fig fig_multiway --planner`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlannerPolicy {
     /// Enumerate every connected order × per-stage algorithm × access

@@ -4,7 +4,7 @@
 //! create input files for data analysis softwares" (§3.3) and used YAT
 //! to convert O2 data to Gnuplot. These are those tools.
 
-use crate::model::{OperatorStat, Stat};
+use crate::model::Stat;
 use std::fmt::Write as _;
 
 /// Escapes one CSV field (quotes when needed).
@@ -58,7 +58,7 @@ pub fn to_csv<'a>(stats: impl IntoIterator<Item = &'a Stat>) -> String {
     out
 }
 
-/// Header of the per-operator CSV, shared by writer and parser.
+/// Header of the per-operator CSV.
 const OPERATOR_CSV_HEADER: &str = "numtest,algo,cluster,op,label,depth,d2sc_pages,\
      sc2cc_pages,cc_misses,handle_gets,handle_frees,cpu_events,io_ns,rpc_ns,cpu_ns,swap_ns";
 
@@ -119,46 +119,6 @@ pub(crate) fn split_csv_line(line: &str) -> Vec<String> {
     fields
 }
 
-/// Parses [`to_operator_csv`] output back into
-/// `(numtest, algo, cluster, row)` tuples. Returns `None` on a header
-/// mismatch or a malformed row — the translation tools are for our own
-/// exports, not arbitrary CSV.
-pub fn parse_operator_csv(csv: &str) -> Option<Vec<(u64, String, String, OperatorStat)>> {
-    let mut lines = csv.lines();
-    if lines.next()? != OPERATOR_CSV_HEADER {
-        return None;
-    }
-    let mut rows = Vec::new();
-    for line in lines {
-        let f = split_csv_line(line);
-        if f.len() != 16 {
-            return None;
-        }
-        let num = |i: usize| f[i].parse::<u64>().ok();
-        rows.push((
-            num(0)?,
-            f[1].clone(),
-            f[2].clone(),
-            OperatorStat {
-                op: f[3].clone(),
-                label: f[4].clone(),
-                depth: f[5].parse().ok()?,
-                d2sc_read_pages: num(6)?,
-                sc2cc_read_pages: num(7)?,
-                client_misses: num(8)?,
-                handle_gets: num(9)?,
-                handle_frees: num(10)?,
-                cpu_events: num(11)?,
-                io_nanos: num(12)?,
-                rpc_nanos: num(13)?,
-                cpu_nanos: num(14)?,
-                swap_nanos: num(15)?,
-            },
-        ));
-    }
-    Some(rows)
-}
-
 /// Renders a gnuplot `.dat` block per series: rows are
 /// `x elapsed_seconds`, one indexed block per series (gnuplot
 /// `index n`), series selected and ordered by `series_of`, x by `x_of`.
@@ -193,6 +153,7 @@ mod tests {
     use super::*;
     use crate::db::StatsDb;
     use crate::model::tests::sample_stat;
+    use crate::model::OperatorStat;
 
     #[test]
     fn csv_has_header_and_rows() {
@@ -216,6 +177,28 @@ mod tests {
         assert!(csv.contains("\"select f(p,pa) \"\"quoted\"\"\""));
     }
 
+    /// One operator's CSV row as fields, in header order.
+    fn operator_fields(s: &Stat, op: &OperatorStat) -> Vec<String> {
+        let mut f = vec![s.numtest.to_string(), s.algo.clone(), s.cluster.clone()];
+        f.extend([op.op.clone(), op.label.clone(), op.depth.to_string()]);
+        f.extend(
+            [
+                op.d2sc_read_pages,
+                op.sc2cc_read_pages,
+                op.client_misses,
+                op.handle_gets,
+                op.handle_frees,
+                op.cpu_events,
+                op.io_nanos,
+                op.rpc_nanos,
+                op.cpu_nanos,
+                op.swap_nanos,
+            ]
+            .map(|n| n.to_string()),
+        );
+        f
+    }
+
     #[test]
     fn operator_csv_round_trips_exactly() {
         let mut db = StatsDb::new();
@@ -224,19 +207,16 @@ mod tests {
         bare.operators.clear(); // untraced runs contribute no rows
         db.insert(bare);
         let csv = to_operator_csv(db.all());
-        let rows = parse_operator_csv(&csv).expect("own export must parse");
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some(OPERATOR_CSV_HEADER));
+        let rows: Vec<Vec<String>> = lines.map(split_csv_line).collect();
         let original: Vec<_> = db
             .all()
             .iter()
-            .flat_map(|s| {
-                s.operators
-                    .iter()
-                    .map(|op| (s.numtest, s.algo.clone(), s.cluster.clone(), op.clone()))
-            })
+            .flat_map(|s| s.operators.iter().map(|op| operator_fields(s, op)))
             .collect();
         assert_eq!(rows, original);
         assert_eq!(rows.len(), 2, "only the traced record exports rows");
-        assert!(parse_operator_csv("bogus\n1,2,3").is_none());
     }
 
     #[test]
@@ -244,8 +224,8 @@ mod tests {
         let mut s = sample_stat(3, "PHJ", 1.0);
         s.operators[0].label = "weird,\"label\"".into();
         let csv = to_operator_csv([&s]);
-        let rows = parse_operator_csv(&csv).unwrap();
-        assert_eq!(rows[0].3.label, "weird,\"label\"");
+        let row = split_csv_line(csv.lines().nth(1).unwrap());
+        assert_eq!(row[4], "weird,\"label\"");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod merge;
 pub mod model;
 
 pub use db::{Filter, GroupSummary, StatsDb};
-pub use export::{parse_operator_csv, to_operator_csv};
+pub use export::to_operator_csv;
 pub use latency::{parse_latency_csv, to_latency_csv, LatencyStat, LogHistogram};
 pub use merge::merge_stats;
 pub use model::{ExtentDesc, OperatorStat, QueryDesc, Stat, SystemDesc};

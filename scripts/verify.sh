@@ -38,42 +38,14 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== smoke figure (TQ_SCALE=200, TQ_JOBS=2) =="
+# Planner agreement across --planner policies, TQ_PARALLEL=1 stdout
+# identity and the exit-2 contract for bad flags and knobs are tier-1
+# tests now (crates/bench/tests/figures_golden.rs and cli.rs).
 SMOKE_T0=$(date +%s%N)
 TQ_SCALE=200 TQ_JOBS=2 \
-    cargo run --release -p tq-bench --bin fig11_14_joins -- --db db2 --org class
+    cargo run --release -p tq-bench --bin tq-fig -- fig11_14_joins --db db2 --org class
 SMOKE_T1=$(date +%s%N)
 echo "smoke figure wall clock: $(( (SMOKE_T1 - SMOKE_T0) / 1000000 )) ms"
-
-echo "== smoke multiway (TQ_SCALE=200, TQ_JOBS=2, all planner policies) =="
-# The plan-quality figure under each ordering policy: all three must
-# return the same result counts per (depth, cell) — order changes time,
-# never answers. An invalid TQ_PLANNER must exit 2 (env-knob contract).
-MW_REF=""
-for P in estimate simpli syntactic; do
-    MW_OUT=$(TQ_SCALE=200 TQ_JOBS=2 TQ_PLANNER="$P" \
-        ./target/release/fig_multiway --db db2 --org class)
-    MW_COUNTS=$(echo "$MW_OUT" | grep -o 'results=[0-9]*' || true)
-    [ -n "$MW_COUNTS" ] \
-        || { echo "error: fig_multiway ($P) printed no result counts" >&2; exit 1; }
-    if [ -z "$MW_REF" ]; then
-        MW_REF="$MW_COUNTS"
-        echo "fig_multiway result counts ($P): $(echo "$MW_COUNTS" | tr '\n' ' ')"
-    elif [ "$MW_COUNTS" != "$MW_REF" ]; then
-        echo "error: fig_multiway ($P) result counts diverge from estimate's" >&2
-        exit 1
-    else
-        echo "fig_multiway result counts ($P): agree"
-    fi
-done
-if TQ_PLANNER=greedy ./target/release/fig_multiway --db db2 --org class \
-    >/dev/null 2>&1; then
-    echo "error: invalid TQ_PLANNER must be rejected" >&2
-    exit 1
-elif [ $? -ne 2 ]; then
-    echo "error: invalid TQ_PLANNER must exit 2" >&2
-    exit 1
-fi
-echo "invalid TQ_PLANNER rejected with exit 2"
 
 echo "== smoke serve (TQ_SCALE=200, TQ_CONCURRENCY=4, 2s) =="
 # loadgen itself exits non-zero on any serving error or leaked handle;
@@ -113,7 +85,7 @@ echo "== smoke serve, sharded (TQ_SHARDS=2) =="
 # zero errors and zero leaked handles (loadgen exits non-zero
 # otherwise), a well-formed 18-column row, and shed accounting that
 # distinguishes the router edge from the shard queues (router-edge
-# sheds are a subset of the total). An invalid TQ_SHARDS must exit 2.
+# sheds are a subset of the total).
 SHARD_CSV=$(TQ_SCALE=200 TQ_JOBS=2 TQ_CONCURRENCY=4 TQ_DURATION=2 TQ_SHARDS=2 \
     cargo run --release -p tq-bench --bin loadgen)
 echo "$SHARD_CSV"
@@ -122,44 +94,12 @@ SHARD_ROWS=$(echo "$SHARD_CSV" | awk -F, '/^label,/{h=1;next} h && NF==18' | wc 
     || { echo "error: expected 1 well-formed sharded latency-CSV row, got $SHARD_ROWS" >&2; exit 1; }
 echo "$SHARD_CSV" | awk -F, '/^label,/{h=1;next} h { exit !($8 <= $7 && $10 == 0) }' \
     || { echo "error: sharded serve errored or mis-attributed sheds" >&2; exit 1; }
-if TQ_SHARDS=banana ./target/release/loadgen >/dev/null 2>&1; then
-    echo "error: invalid TQ_SHARDS must be rejected" >&2
-    exit 1
-elif [ $? -ne 2 ]; then
-    echo "error: invalid TQ_SHARDS must exit 2" >&2
-    exit 1
-fi
-echo "invalid TQ_SHARDS rejected with exit 2"
 
 echo "== sharded differential oracle (release) =="
 # Sharded results byte-identical to the unsharded engine for every
 # join algorithm × clustering at 1/2/4 shards, and the router's merged
 # Stats exactly merge_stats over the per-shard truth.
 cargo test --release -q -p tq-router --test sharded_equivalence
-
-echo "== parallel smoke: TQ_PARALLEL=1 is the serial path (golden stdout) =="
-# Degree 1 is the default — the dispatcher runs every driving list
-# inline — so figure stdout must be byte-identical with TQ_PARALLEL
-# unset vs set to 1. An invalid
-# TQ_PARALLEL must exit 2 (env-knob contract).
-PAR_REF=$(TQ_SCALE=200 TQ_JOBS=2 \
-    ./target/release/fig11_14_joins --db db2 --org class)
-PAR_ONE=$(TQ_SCALE=200 TQ_JOBS=2 TQ_PARALLEL=1 \
-    ./target/release/fig11_14_joins --db db2 --org class)
-if [ "$PAR_REF" != "$PAR_ONE" ]; then
-    echo "error: TQ_PARALLEL=1 changed fig11_14 stdout" >&2
-    diff <(echo "$PAR_REF") <(echo "$PAR_ONE") >&2 || true
-    exit 1
-fi
-echo "fig11_14 stdout byte-identical at TQ_PARALLEL=1"
-if TQ_PARALLEL=banana ./target/release/loadgen >/dev/null 2>&1; then
-    echo "error: invalid TQ_PARALLEL must be rejected" >&2
-    exit 1
-elif [ $? -ne 2 ]; then
-    echo "error: invalid TQ_PARALLEL must exit 2" >&2
-    exit 1
-fi
-echo "invalid TQ_PARALLEL rejected with exit 2"
 
 echo "== parallel differential oracle (release, degrees 2/4) =="
 # Morsel-parallel runs against the serial engine for every join
@@ -215,7 +155,7 @@ else
         CUR_MS="" HWM_KB=0
         for _ in 1 2 3; do
             OUT=$( { TIMEFORMAT='%U %S'; time run_polling_hwm env TQ_SCALE=1 \
-                TQ_JOBS=1 ./target/release/fig11_14_joins --db db2 --org class; } 2>&1 )
+                TQ_JOBS=1 ./target/release/tq-fig fig11_14_joins --db db2 --org class; } 2>&1 )
             T=$(tail -n 1 <<<"$OUT")
             KB=$(head -n 1 <<<"$OUT")
             MS=$(awk -v u="${T% *}" -v s="${T#* }" \

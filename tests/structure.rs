@@ -105,6 +105,10 @@ const PER_KIND_STAGE: &[&str] = &[
 /// codec that the frozen-bytes tests do not see.
 const BYTE_CODEC: &[&str] = &["to_le_bytes", "from_le_bytes"];
 
+/// Knobs are parsed from their raw values; a test that writes the
+/// process environment races every other test in its binary.
+const ENV_WRITE: &[&str] = &["env::set_var", "env::remove_var"];
+
 #[test]
 fn joins_use_the_executor_layer() {
     let found = violations(&["crates/core/src/join"], &[], RAW_PIN);
@@ -147,16 +151,25 @@ fn the_wire_is_spelled_once() {
 }
 
 #[test]
+fn nothing_writes_the_process_environment() {
+    let found = violations(&["crates"], &[], ENV_WRITE);
+    assert!(found.is_empty(), "environment writes:\n{found:#?}");
+}
+
+#[test]
 fn every_gate_fires_on_a_planted_violation() {
     let planted = "fn a() {}\n\
                    let h = store.fetch(rid)?;\n\
                    if batch <= 1 { row() }\n\
                    fn execute_chain(w: Work) {}\n\
-                   out.extend(&n.to_le_bytes());\n";
+                   out.extend(&n.to_le_bytes());\n\
+                   std::env::set_var(knob, value);\n";
     assert_eq!(matching_lines(planted, RAW_PIN)[0].0, 2);
     assert_eq!(matching_lines(planted, BATCH_FORK)[0].0, 3);
     assert_eq!(matching_lines(planted, PER_KIND_STAGE)[0].0, 4);
     assert_eq!(matching_lines(planted, BYTE_CODEC)[0].0, 5);
+    assert_eq!(matching_lines(planted, ENV_WRITE)[0].0, 6);
+    assert!(matching_lines("let v = std::env::var(\"TQ_SCALE\");\n", ENV_WRITE).is_empty());
     assert!(matching_lines("fn a() { exec.fetch_chunk(n) }\n", RAW_PIN).is_empty());
 
     let one = "fn f() -> Stat {\n    Stat {\n        x,\n    }\n}\n";

@@ -10,14 +10,25 @@ use std::time::Duration;
 
 use tq_bench::harness::{parse_org, parse_shape};
 use tq_bench::serve::{run_serve, ServeConfig};
-use tq_bench::{env, or_exit};
+use tq_bench::{env, or_exit, parse_flags, Flags};
 use tq_query::JoinAlgo;
 use tq_server::CacheMode;
 use tq_statsdb::to_latency_csv;
 
+/// Every flag, with its values (none for a switch).
+const FLAGS: &Flags = &[
+    ("--db", "db1|db2"),
+    ("--org", "class|random|comp|assoc"),
+    ("--algo", "nl|nojoin|phj|chj"),
+    ("--pat", "PCT"),
+    ("--prov", "PCT"),
+    ("--warm", ""),
+    ("--deadline-ms", "N"),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().skip(1).any(|a| a == "--help" || a == "-h") {
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    if words.iter().any(|w| w == "--help" || w == "-h") {
         print!(
             "{}",
             env::help(
@@ -32,30 +43,29 @@ fn main() {
         );
         return;
     }
-    let arg = |name: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    let flags = or_exit(parse_flags("loadgen", &words, FLAGS, |_| true));
+    let arg = |name: &str, default: &'static str| {
+        flags
+            .iter()
+            .find(|(f, _)| f.0 == name)
+            .map_or(default, |&(_, value)| value)
     };
-    let flag = |name: &str| args.iter().any(|a| a == name);
     let (db, org) = (arg("--db", "db2"), arg("--org", "class"));
-    let shape = parse_shape(&db)
+    let shape = parse_shape(db)
         .unwrap_or_else(|| exit_usage(&format!("unknown --db {db:?} (use db1|db2)")));
-    let org = parse_org(&org).unwrap_or_else(|| {
+    let org = parse_org(org).unwrap_or_else(|| {
         exit_usage(&format!(
             "unknown --org {org:?} (use class|random|comp|assoc)"
         ))
     });
-    let algo = match arg("--algo", "chj").as_str() {
+    let algo = match arg("--algo", "chj") {
         "nl" => JoinAlgo::Nl,
         "nojoin" => JoinAlgo::Nojoin,
         "phj" => JoinAlgo::Phj,
         "chj" => JoinAlgo::Chj,
         other => exit_usage(&format!("unknown --algo {other:?} (use nl|nojoin|phj|chj)")),
     };
-    let pct = |name: &str, default: &str| -> u32 {
+    let pct = |name: &str, default| -> u32 {
         match arg(name, default).parse::<u32>() {
             Ok(n) if (1..=100).contains(&n) => n,
             _ => exit_usage(&format!("{name} must be a percentage in 1..=100")),
@@ -67,7 +77,7 @@ fn main() {
         Ok(ms) => ms * 1_000_000,
         Err(_) => exit_usage("--deadline-ms must be an integer (simulated milliseconds)"),
     };
-    let mode = if flag("--warm") {
+    let mode = if flags.iter().any(|(f, _)| f.0 == "--warm") {
         CacheMode::Warm
     } else {
         CacheMode::Cold

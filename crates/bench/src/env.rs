@@ -26,25 +26,12 @@ pub fn jobs(raw: Option<&str>) -> Result<usize, String> {
     positive("TQ_JOBS", raw, default, "the worker count").map(|n| n as usize)
 }
 
-/// The executor batch size, `TQ_BATCH` (default
-/// [`tq_query::exec::DEFAULT_BATCH_SIZE`]; `1` is the one-object-at-a-time
-/// access sequence the differential oracles compare against). Any value
-/// produces byte-identical figures and `Stat`s.
-pub fn batch(raw: Option<&str>) -> Result<usize, String> {
-    positive(
-        "TQ_BATCH",
-        raw,
-        tq_query::exec::DEFAULT_BATCH_SIZE as u32,
-        "the executor batch size",
-    )
-    .map(|n| n as usize)
-}
-
-/// The morsel-parallel degree, `TQ_PARALLEL` (default 1 = the exact
-/// serial path). At `n > 1` each query's driving list is split across
-/// `n` threads on private store clones: results are identical, cache
-/// splits and swap faults may differ. The load generator forwards it
-/// to the server, which budgets `workers × parallel` against the cores.
+/// The morsel-parallel degree of every served query, `TQ_PARALLEL`
+/// (default 1 = the exact serial path). At `n > 1` each query's driving
+/// list is split across `n` threads on private store clones: results
+/// are identical, cache splits and swap faults may differ. The load
+/// generator forwards it to the server, which budgets
+/// `workers × parallel` against the cores.
 pub fn parallel(raw: Option<&str>) -> Result<usize, String> {
     positive("TQ_PARALLEL", raw, 1, "the morsel-parallel degree").map(|n| n as usize)
 }
@@ -107,13 +94,12 @@ fn non_negative(var: &str, raw: Option<&str>, default: u32, what: &str) -> Resul
     })
 }
 
-/// Every knob's `--help` row. The figures read the first four; the
+/// Every knob's `--help` row. The figures read the first two; the
 /// load generator reads them all.
-pub const KNOBS: [&str; 10] = [
+pub const KNOBS: [&str; 9] = [
     "TQ_SCALE         divide database sizes and caches by n; default 1 = paper scale",
     "TQ_JOBS          worker threads (figure cells / server workers); default: available cores",
-    "TQ_BATCH         executor batch size; 1 = scalar path; identical output; default 1024",
-    "TQ_PARALLEL      morsel-parallel degree per query; 1 = exact serial path; default 1",
+    "TQ_PARALLEL      morsel-parallel degree per served query; 1 = exact serial path; default 1",
     "TQ_CONCURRENCY   closed-loop client threads driving the server; default 8",
     "TQ_DURATION      serving run duration in wall-clock seconds; default 2",
     "TQ_QUEUE_DEPTH   admission-queue depth; 0 = shed unless a worker is idle; default 16",
@@ -162,16 +148,6 @@ mod tests {
         assert_eq!(write_mix(Some("100")), Ok(100));
         assert!(write_mix(Some("101")).unwrap_err().contains("0..=100"));
         assert!(write_mix(Some("many")).is_err());
-
-        // TQ_BATCH: unset means the compiled default, 1 is the scalar
-        // path (valid), 0 and garbage are rejected — a silently
-        // clamped batch size would hide a typo'd perf experiment.
-        assert_eq!(batch(None), Ok(tq_query::exec::DEFAULT_BATCH_SIZE));
-        assert_eq!(batch(Some("1")), Ok(1), "1 selects the scalar path");
-        assert_eq!(batch(Some("7")), Ok(7));
-        assert!(batch(Some("0")).is_err());
-        let err = batch(Some("huge")).unwrap_err();
-        assert!(err.contains("TQ_BATCH") && err.contains("positive integer"));
 
         // TQ_PARALLEL: unset means serial (degree 1), 1 is explicit
         // serial, 0 and garbage are rejected — the binaries exit 2 on

@@ -19,11 +19,11 @@ use tq_statsdb::export::{to_csv, to_operator_csv};
 use tq_statsdb::StatsDb;
 use tq_workload::{DbShape, Organization};
 
-use crate::env;
 use crate::harness::{parse_org, parse_shape};
+use crate::{env, parse_flags, Flags};
 
 /// Every flag a figure may take, with its values (none for a switch).
-const FLAGS: [(&str, &str); 5] = [
+const FLAGS: &Flags = &[
     ("--db", "db1|db2"),
     ("--org", "class|random|comp|assoc"),
     ("--measure", ""),
@@ -67,25 +67,8 @@ impl Figure {
     pub fn parse(&self, words: &[String], scale: u32, jobs: usize) -> Result<Args, String> {
         let mut args = Args::default();
         (args.scale, args.jobs) = (scale.max(self.min_scale), jobs);
-        let mut seen = Vec::new();
-        let mut words = words.iter().map(String::as_str);
-        while let Some(word) = words.next() {
-            let Some(&(_, values)) = FLAGS.iter().find(|f| f.0 == word) else {
-                return Err(format!("unknown argument {word:?}"));
-            };
-            if !self.flags.contains(&word) {
-                return Err(format!("{} does not take {word}", self.name));
-            }
-            if seen.contains(&word) {
-                return Err(format!("{word} given twice"));
-            }
-            seen.push(word);
-            let value = match values {
-                "" => "",
-                _ => words
-                    .next()
-                    .ok_or(format!("{word} needs a value ({values})"))?,
-            };
+        let takes = |word: &str| self.flags.contains(&word);
+        for (&(word, values), value) in parse_flags(self.name, words, FLAGS, takes)? {
             let bad = || format!("unknown {word} {value:?} (use {values})");
             match word {
                 "--db" => args.db = Some(parse_shape(value).ok_or_else(bad)?),
@@ -109,7 +92,7 @@ impl Figure {
         if self.min_scale > 1 {
             about += &format!(" Runs at 1/{} scale or smaller.", self.min_scale);
         }
-        env::help(&about, &usage, &env::KNOBS[..4])
+        env::help(&about, &usage, &env::KNOBS[..2])
     }
 }
 
@@ -249,7 +232,7 @@ pub fn help() -> String {
          --explain adds per-operator counter tables)\n\nFigures:{rows}"
     );
     let about = "Regenerates the paper's tables and figures, one figure per run.";
-    env::help(about, &usage, &env::KNOBS[..4])
+    env::help(about, &usage, &env::KNOBS[..2])
 }
 
 /// Each part on its own line, as `println!` would print it.

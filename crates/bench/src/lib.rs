@@ -22,18 +22,11 @@ pub mod serve;
 pub use harness::{build_db, physical_profile};
 pub use serve::{run_serve, ServeConfig};
 
-/// Reads `TQ_SCALE`, `TQ_JOBS`, `TQ_BATCH`, and `TQ_PARALLEL`, exiting
-/// 2 on a bad value. The batch size and the morsel-parallel degree are
-/// installed process-wide ([`tq_query::exec::set_default_batch_size`],
-/// [`tq_query::exec::set_default_parallel_degree`]).
+/// Reads `TQ_SCALE` and `TQ_JOBS`, exiting 2 on a bad value.
 pub fn env_config_or_exit() -> (u32, usize) {
     let var = |name| std::env::var(name).ok();
     let scale = or_exit(env::scale(var("TQ_SCALE").as_deref()));
     let jobs = or_exit(env::jobs(var("TQ_JOBS").as_deref()));
-    tq_query::exec::set_default_batch_size(or_exit(env::batch(var("TQ_BATCH").as_deref())));
-    tq_query::exec::set_default_parallel_degree(or_exit(env::parallel(
-        var("TQ_PARALLEL").as_deref(),
-    )));
     (scale, jobs)
 }
 
@@ -44,4 +37,42 @@ pub fn or_exit<T>(r: Result<T, String>) -> T {
         eprintln!("{e}");
         std::process::exit(2)
     })
+}
+
+/// A flag as `(name, values)`; `values` is `""` for a switch.
+pub type Flag = (&'static str, &'static str);
+
+/// A command's flags.
+pub type Flags = [Flag];
+
+/// Pairs each flag in `words` with its value (`""` for a switch). An
+/// error names the word: a flag not in `known`, one `takes` refuses, a
+/// repeated one, or one missing its value.
+pub fn parse_flags<'k, 'w>(
+    cmd: &str,
+    words: &'w [String],
+    known: &'k Flags,
+    takes: impl Fn(&str) -> bool,
+) -> Result<Vec<(&'k Flag, &'w str)>, String> {
+    let mut out: Vec<(&Flag, &str)> = Vec::new();
+    let mut words = words.iter().map(String::as_str);
+    while let Some(word) = words.next() {
+        let Some(flag) = known.iter().find(|f| f.0 == word) else {
+            return Err(format!("unknown argument {word:?}"));
+        };
+        if !takes(word) {
+            return Err(format!("{cmd} does not take {word}"));
+        }
+        if out.iter().any(|(f, _)| f.0 == word) {
+            return Err(format!("{word} given twice"));
+        }
+        let value = match flag.1 {
+            "" => "",
+            values => words
+                .next()
+                .ok_or(format!("{word} needs a value ({values})"))?,
+        };
+        out.push((flag, value));
+    }
+    Ok(out)
 }

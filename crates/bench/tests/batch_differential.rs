@@ -8,7 +8,7 @@
 //!
 //! The capture is a `Debug`-formatted string per cell, so "identical"
 //! means every field, every row, every bit of the simulated clock —
-//! not a tolerance. The `TQ_BATCH=1` capture is also checked against
+//! not a tolerance. The batch-1 capture is also checked against
 //! `golden/batch_differential.fp`, rendered from the last commit that
 //! still carried separate one-object-at-a-time loop bodies (8267b58),
 //! so the matrix is pinned to a fixed answer and not only to itself.
@@ -16,7 +16,7 @@
 mod golden;
 
 use tq_bench::build_db;
-use tq_query::exec::{set_default_batch_size, DEFAULT_BATCH_SIZE};
+use tq_query::exec::DEFAULT_BATCH_SIZE;
 use tq_query::join::{smj, JoinContext, JoinOptions};
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{index_scan, seq_scan, sorted_index_scan, JoinAlgo};
@@ -52,10 +52,17 @@ fn selection(db: &Database, pct: u32, residual: bool) -> Selection {
     }
 }
 
-/// Runs the whole matrix under the process-default batch size and
-/// returns one `Debug`-rendered fingerprint per cell. The `SimRng`
-/// seed is fixed, so every batch size sees the *same* queries.
-fn run_matrix() -> Vec<(String, String)> {
+/// A database whose queries run at `batch`.
+fn build_at(shape: DbShape, org: Organization, scale: u32, batch: usize) -> Database {
+    let mut db = build_db(shape, org, scale);
+    db.store.set_batch_size(batch);
+    db
+}
+
+/// Runs the whole matrix at `batch` and returns one `Debug`-rendered
+/// fingerprint per cell. The `SimRng` seed is fixed, so every batch
+/// size sees the *same* queries.
+fn run_matrix(batch: usize) -> Vec<(String, String)> {
     let mut rng = SimRng::seed_from_u64(0x0b5e55ed);
     let mut out = Vec::new();
 
@@ -65,7 +72,7 @@ fn run_matrix() -> Vec<(String, String)> {
             Organization::Randomized,
             Organization::Composition,
         ] {
-            let master = build_db(shape, org, scale);
+            let master = build_at(shape, org, scale, batch);
             for algo in JoinAlgo::all() {
                 let (pat, prov) = (draw_pct(&mut rng), draw_pct(&mut rng));
                 let mut db = master.clone();
@@ -87,7 +94,7 @@ fn run_matrix() -> Vec<(String, String)> {
 
     // The hybrid-hashing spill path, at the selectivities that drive
     // the hash tables past the operator budget.
-    let master = build_db(DbShape::Db2, Organization::ClassClustered, 1000);
+    let master = build_at(DbShape::Db2, Organization::ClassClustered, 1000, batch);
     for algo in [JoinAlgo::Phj, JoinAlgo::Chj] {
         let mut db = master.clone();
         let opts = JoinOptions {
@@ -137,7 +144,7 @@ fn run_matrix() -> Vec<(String, String)> {
 
     // All three selection scans (with and without a residual).
     {
-        let mut db = build_db(DbShape::Db1, Organization::ClassClustered, 200);
+        let mut db = build_at(DbShape::Db1, Organization::ClassClustered, 200, batch);
         let num_idx = db.idx_patient_num.clone();
         let capture = |name: &str,
                        residual: bool,
@@ -187,24 +194,19 @@ fn run_matrix() -> Vec<(String, String)> {
 
 #[test]
 fn batched_and_scalar_paths_are_byte_identical() {
-    // One process-global knob, one test: integration tests compile to
-    // their own binary, so nothing else races the default.
-    set_default_batch_size(1);
-    let scalar = run_matrix();
+    let scalar = run_matrix(1);
     // 24 join cells + 2 hybrid + smj + 6 selections + 2 updates.
     assert_eq!(scalar.len(), 35, "the matrix must actually cover cells");
     golden::assert_matches("batch_differential.fp", &scalar);
     for batch in [7, DEFAULT_BATCH_SIZE] {
-        set_default_batch_size(batch);
-        let batched = run_matrix();
+        let batched = run_matrix(batch);
         assert_eq!(scalar.len(), batched.len());
         for ((name_s, fp_s), (name_b, fp_b)) in scalar.iter().zip(&batched) {
             assert_eq!(name_s, name_b, "matrix order must be deterministic");
             assert_eq!(
                 fp_s, fp_b,
-                "{name_s}: TQ_BATCH={batch} must be byte-identical to scalar"
+                "{name_s}: batch {batch} must be byte-identical to scalar"
             );
         }
     }
-    set_default_batch_size(DEFAULT_BATCH_SIZE);
 }

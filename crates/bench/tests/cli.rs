@@ -1,7 +1,7 @@
 //! The binaries' command-line contract, run as processes: a malformed
 //! argument or knob exits 2 and names itself before any database is
-//! built, `--help` is generated from the registry, and
-//! `TQ_PARALLEL=1` leaves figure stdout byte-identical.
+//! built, `--help` is generated from the registry, and a short cold
+//! `loadgen` run prints one well-formed latency-CSV row.
 
 use std::process::{Command, Output};
 
@@ -10,7 +10,6 @@ use tq_bench::figures::FIGURES;
 const KNOBS: &[&str] = &[
     "TQ_SCALE",
     "TQ_JOBS",
-    "TQ_BATCH",
     "TQ_PARALLEL",
     "TQ_SHARDS",
     "TQ_CONCURRENCY",
@@ -75,9 +74,23 @@ fn malformed_arguments_exit_2_and_name_the_argument() {
 }
 
 #[test]
+fn malformed_loadgen_flags_exit_2_and_name_the_flag() {
+    rejects(LOADGEN, &["--db"], &[], "--db needs a value");
+    rejects(
+        LOADGEN,
+        &["--algoo", "nl"],
+        &[],
+        "unknown argument \"--algoo\"",
+    );
+    rejects(LOADGEN, &["--pat"], &[], "--pat needs a value");
+    let twice = ["--algo", "nl", "--algo", "phj"];
+    rejects(LOADGEN, &twice, &[], "--algo given twice");
+    rejects(LOADGEN, &["--warm", "--warm"], &[], "--warm given twice");
+}
+
+#[test]
 fn malformed_knobs_exit_2_and_name_the_knob() {
     let fig = ["fig11_14_joins", "--db", "db2"];
-    rejects(TQ_FIG, &fig, &[("TQ_PARALLEL", "banana")], "TQ_PARALLEL");
     rejects(TQ_FIG, &fig, &[("TQ_SCALE", "0")], "TQ_SCALE");
     rejects(LOADGEN, &[], &[("TQ_PARALLEL", "banana")], "TQ_PARALLEL");
     rejects(LOADGEN, &[], &[("TQ_SHARDS", "banana")], "TQ_SHARDS");
@@ -99,14 +112,19 @@ fn help_is_generated_from_the_registry() {
     assert!(!help.contains("--measure"));
 }
 
-/// Degree 1 is the default, so stdout must be byte-identical with
-/// `TQ_PARALLEL` unset and set to 1.
+/// One cold closed-loop run of the binary: exit 0 (no error, no
+/// leaked handle), and stdout ends in the latency-CSV header and
+/// exactly one 18-column row.
 #[test]
-fn parallel_degree_one_is_the_serial_path() {
-    let args = ["fig11_14_joins", "--db", "db2", "--org", "class"];
-    let unset = run(TQ_FIG, &args, &[]);
-    let one = run(TQ_FIG, &args, &[("TQ_PARALLEL", "1")]);
-    assert!(unset.status.success() && one.status.success());
-    assert!(!unset.stdout.is_empty());
-    assert!(unset.stdout == one.stdout, "TQ_PARALLEL=1 changed stdout");
+fn loadgen_prints_one_latency_csv_row() {
+    let out = run(LOADGEN, &[], &[("TQ_DURATION", "1")]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    let header = "label,concurrency,workers,queue_depth,duration_ns,ok,shed,shed_router,\
+                  deadline_exceeded,errors,";
+    let mut csv = stdout.lines().skip_while(|l| !l.starts_with(header));
+    assert!(csv.next().is_some(), "no latency-CSV header in {stdout}");
+    let rows: Vec<&str> = csv.filter(|l| !l.is_empty()).collect();
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert_eq!(rows[0].split(',').count(), 18, "{}", rows[0]);
 }

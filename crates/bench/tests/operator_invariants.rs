@@ -172,11 +172,11 @@ fn multiway_chains_sum_to_the_query_stat_at_any_batch() {
     let master = build_db(DbShape::Db2, Organization::ClassClustered, 1000);
     let mut per_batch: Vec<Vec<Stat>> = Vec::new();
     for batch in [1usize, 1024] {
-        tq_query::exec::set_default_batch_size(batch);
         let mut stats = Vec::new();
         for policy in PlannerPolicy::all() {
             for depth in [3u32, 4] {
                 let mut db = master.clone();
+                db.store.set_batch_size(batch);
                 let cell = run_chain_cell(&mut db, depth, 30, 60, policy, None).unwrap();
                 let what = format!("depth {depth} {policy:?} batch {batch}");
                 assert!(cell.results > 0, "{what}: selected nothing");
@@ -225,7 +225,6 @@ fn multiway_chains_sum_to_the_query_stat_at_any_batch() {
         }
         per_batch.push(stats);
     }
-    tq_query::exec::set_default_batch_size(tq_query::exec::DEFAULT_BATCH_SIZE);
     assert_eq!(
         per_batch[0], per_batch[1],
         "chain Stats must be byte-identical at batch 1 and 1024"

@@ -58,6 +58,8 @@ fn closed_loop_serve_smoke() {
     let back = parse_latency_csv(&csv).expect("latency CSV re-parses");
     assert_eq!(back, vec![s.clone()]);
 
+    // Unsharded, so nothing sheds at a router edge.
+    assert_eq!(s.shed_router, 0);
     // A read-only run reports a well-formed, empty write column.
     assert_eq!(s.commits, 0);
     assert_eq!(s.aborts, 0);

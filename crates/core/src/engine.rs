@@ -148,11 +148,6 @@ impl Engine {
         &self.store
     }
 
-    /// Mutable access to the underlying store.
-    pub fn store_mut(&mut self) -> &mut ObjectStore {
-        &mut self.store
-    }
-
     /// Registers an index for planning and execution.
     pub fn register_index(&mut self, index: BTreeIndex, class: ClassId, key_attr: AttrId) {
         self.indexes.push(EngineIndex {

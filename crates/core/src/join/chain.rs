@@ -17,8 +17,8 @@
 //! [`chain_pipeline`](crate::plan::chain_pipeline)'s `(OpKind, label)`
 //! vocabulary, and — through the [`ExecContext`] attribution invariant
 //! — sum field for field to the query-level counters. Stages fetch one
-//! object at a time at any `TQ_BATCH` and run on one context at any
-//! `TQ_PARALLEL`: the executor does not use `ExecContext::fetch_chunk`
+//! object at a time at any batch size and run on one context at any
+//! morsel degree: the executor does not use `ExecContext::fetch_chunk`
 //! or the morsel dispatcher yet (moving it onto them changes the
 //! per-stage re-fetch sequence that `benchmark/expected/fig_chains.fp`
 //! pins), so chain output is identical at every batch size by

@@ -36,7 +36,7 @@ pub use ridlist::{RidRun, RidRunCursor, RIDS_PER_PAGE};
 pub use schema::{Attr, AttrId, AttrType, ClassDef, ClassId, Schema};
 pub use store::{
     CollectionInfo, Fetched, ObjBatch, ObjGuard, ObjectStore, SetCursor, WideningReport,
-    DEFAULT_FILL_LIMIT,
+    DEFAULT_BATCH_SIZE, DEFAULT_FILL_LIMIT,
 };
 pub use value::{SetValue, Value};
 

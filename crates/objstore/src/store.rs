@@ -34,6 +34,11 @@ use tq_pagestore::{CpuEvent, FileId, IoStats, PageId, SimClock, StorageStack, PA
 /// leaves some extra space to deal with growing strings or collections".
 pub const DEFAULT_FILL_LIMIT: usize = PAGE_SIZE * 9 / 10;
 
+/// Default executor batch size: large enough to amortize the
+/// per-scope snapshot pair over a thousand objects, small enough that
+/// the pending-emit scratch stays cache-resident.
+pub const DEFAULT_BATCH_SIZE: usize = 1024;
+
 /// A named collection: the class of its members and the rid run storing
 /// them.
 #[derive(Clone, Copy, Debug)]
@@ -188,6 +193,9 @@ pub struct ObjectStore {
     /// Current append target per file.
     tails: FxHashMap<FileId, u32>,
     fill_limit: usize,
+    /// Objects per executor gather and pairs per deferred `Emit` flush
+    /// of every query run over this store (and its clones).
+    batch_size: usize,
     /// Recycled [`Object`] shells for [`ObjectStore::fetch`] —
     /// returning one via [`ObjectStore::release`] lets the next fetch
     /// of a same-shaped object decode without heap allocation.
@@ -214,6 +222,7 @@ impl ObjectStore {
             collections: FxHashMap::default(),
             tails: FxHashMap::default(),
             fill_limit: DEFAULT_FILL_LIMIT,
+            batch_size: DEFAULT_BATCH_SIZE,
             spare: Vec::new(),
             spare_records: Vec::new(),
             scratch: Vec::new(),
@@ -241,6 +250,19 @@ impl ObjectStore {
     pub fn set_fill_limit(&mut self, bytes: usize) {
         assert!(bytes > 64 && bytes <= PAGE_SIZE);
         self.fill_limit = bytes;
+    }
+
+    /// The executor batch size queries over this store run at (≥ 1).
+    pub fn batch_size(&self) -> usize {
+        self.batch_size
+    }
+
+    /// Sets the executor batch size, clamped to ≥ 1. At 1 every gather
+    /// is a single object: the same code, the one-at-a-time access
+    /// sequence the differential oracles compare against. Output is
+    /// byte-identical at any value. Clones carry it.
+    pub fn set_batch_size(&mut self, n: usize) {
+        self.batch_size = n.max(1);
     }
 
     /// Creates a data or overflow file.

@@ -97,8 +97,8 @@ pub fn run_join_cell_warm(
     measure_current(db, algo, pat_pct, prov_pct, opts, None)
 }
 
-/// Measures one join against the database's *current* cache state:
-/// metric reset, run, teardown row. Warm server sessions use this
+/// Measures one join, serially (degree 1), against the database's
+/// *current* cache state: metric reset, run, teardown row. Warm server sessions use this
 /// directly (their caches are primed by earlier queries on the same
 /// session, not by a discarded priming run).
 ///
@@ -114,14 +114,10 @@ pub fn measure_current(
     opts: &JoinOptions,
     cancel: Option<CancelToken>,
 ) -> JoinCell {
-    let degree = tq_query::exec::default_parallel_degree();
-    match measure_current_parallel(db, algo, pat_pct, prov_pct, opts, cancel, degree) {
-        Ok(cell) => cell,
-        // Callers of the serial-shaped API get the panic the worker
-        // raised, re-thrown as a typed payload — the session layer
-        // catches it exactly where it catches `Cancelled`.
-        Err(p) => std::panic::panic_any(p),
-    }
+    // Degree 1 runs inline: a defect panics straight through, and no
+    // morsel worker exists to fail.
+    measure_current_parallel(db, algo, pat_pct, prov_pct, opts, cancel, 1)
+        .unwrap_or_else(|p| std::panic::panic_any(p))
 }
 
 /// [`measure_current`] at an explicit morsel-parallel degree.

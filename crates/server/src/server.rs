@@ -15,7 +15,7 @@
 
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once};
 use std::thread::JoinHandle;
 
@@ -99,7 +99,12 @@ struct Inner {
     stats: ServerStats,
     /// Morsel-parallel degree applied to every served join query.
     parallel: usize,
+    /// The worker [`Server::fail_next_query`] armed, or [`NO_FAULT`].
+    fail_next: AtomicUsize,
 }
+
+/// No worker: matches none, so a token carrying it fails nothing.
+const NO_FAULT: usize = usize::MAX;
 
 /// The query service. Owns the base snapshot, the session table, and
 /// the worker pool; hands out connections over TCP or in-process
@@ -135,6 +140,7 @@ impl Server {
                 sched: Scheduler::new(workers, config.queue_depth),
                 stats: ServerStats::default(),
                 parallel,
+                fail_next: AtomicUsize::new(NO_FAULT),
             }),
             conn_threads: Mutex::new(Vec::new()),
         }
@@ -206,6 +212,14 @@ impl Server {
     #[doc(hidden)]
     pub fn retained_epochs(&self) -> usize {
         self.inner.sessions.retained_epochs()
+    }
+
+    /// Test hook: the next engine request this server executes carries
+    /// a token whose morsel worker `w` panics
+    /// ([`CancelToken::fail_worker`]). Fires once.
+    #[doc(hidden)]
+    pub fn fail_next_query(&self, w: usize) {
+        self.inner.fail_next.store(w, Ordering::Relaxed);
     }
 
     /// Drains the worker pool and joins the in-process connection
@@ -330,7 +344,12 @@ fn execute(inner: &Inner, session: u64, work: Work, deadline_nanos: u64) -> Resp
         Ok(taken) => taken,
         Err(e) => return failed(inner, e.to_string()),
     };
-    let cancel = (deadline_nanos > 0).then(|| CancelToken::with_deadline_nanos(deadline_nanos));
+    let mut cancel = (deadline_nanos > 0).then(|| CancelToken::with_deadline_nanos(deadline_nanos));
+    // Take an armed fault: one relaxed load when none is.
+    if inner.fail_next.load(Ordering::Relaxed) != NO_FAULT {
+        let w = inner.fail_next.swap(NO_FAULT, Ordering::Relaxed);
+        cancel = Some(cancel.unwrap_or_default().fail_worker(w));
+    }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         measure(&mut db, &work, mode, cancel, inner.parallel)
     }));

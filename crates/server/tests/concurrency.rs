@@ -119,23 +119,24 @@ fn concurrent_cold_sessions_match_serial_oracle() {
 
 #[test]
 fn served_stats_are_byte_identical_across_batch_sizes() {
-    use tq_query::exec::{set_default_batch_size, DEFAULT_BATCH_SIZE};
+    use tq_query::exec::DEFAULT_BATCH_SIZE;
     let base = base_db();
     let cells = cells();
 
     // The oracle runs on the scalar path; every batched serving run
-    // must reproduce its `Stat`s bit for bit. (The knob is process
-    // global, but that is exactly the property under test: no thread
-    // in this binary can legally observe a difference.)
-    set_default_batch_size(1);
+    // must reproduce its `Stat`s bit for bit. Each database carries its
+    // own batch size, and every session clone inherits its base's.
+    let mut scalar = base.clone();
+    scalar.store.set_batch_size(1);
     let oracle: Vec<_> = cells
         .iter()
-        .map(|&(algo, pat, prov)| serial_oracle(&base, algo, pat, prov))
+        .map(|&(algo, pat, prov)| serial_oracle(&scalar, algo, pat, prov))
         .collect();
 
     for batch in [7, DEFAULT_BATCH_SIZE] {
-        set_default_batch_size(batch);
-        let server = Arc::new(Server::start(base.clone(), ServerConfig::default()));
+        let mut batched = base.clone();
+        batched.store.set_batch_size(batch);
+        let server = Arc::new(Server::start(batched, ServerConfig::default()));
         let barrier = Arc::new(Barrier::new(cells.len()));
         let handles: Vec<_> = cells
             .iter()
@@ -153,20 +154,19 @@ fn served_stats_are_byte_identical_across_batch_sizes() {
             served.iter().zip(oracle.iter()).enumerate()
         {
             let (algo, pat, prov) = cells[i];
-            assert_eq!(leaked, &0, "TQ_BATCH={batch} {algo:?} {pat}/{prov} leaked");
+            assert_eq!(leaked, &0, "batch {batch} {algo:?} {pat}/{prov} leaked");
             assert_eq!(
                 results, want_results,
-                "TQ_BATCH={batch} {algo:?} {pat}/{prov} cardinality"
+                "batch {batch} {algo:?} {pat}/{prov} cardinality"
             );
             assert_eq!(
                 stat, want_stat,
-                "TQ_BATCH={batch} {algo:?} {pat}/{prov}: served Stat \
+                "batch {batch} {algo:?} {pat}/{prov}: served Stat \
                  must be byte-identical to the scalar oracle"
             );
         }
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
-    set_default_batch_size(DEFAULT_BATCH_SIZE);
 }
 
 #[test]

@@ -141,53 +141,6 @@ impl StatsDb {
     pub fn winner(&self, filter: &Filter) -> Option<&Stat> {
         self.ranking(filter).into_iter().next()
     }
-
-    /// Groups matching records by `key` and summarizes elapsed time per
-    /// group — the "data analysis" the authors fed Gnuplot with.
-    /// Groups come back sorted by key.
-    pub fn summarize(&self, filter: &Filter, key: impl Fn(&Stat) -> String) -> Vec<GroupSummary> {
-        let mut groups: Vec<GroupSummary> = Vec::new();
-        for stat in self.select(filter) {
-            let k = key(stat);
-            let entry = match groups.iter_mut().find(|g| g.key == k) {
-                Some(g) => g,
-                None => {
-                    groups.push(GroupSummary {
-                        key: k,
-                        runs: 0,
-                        mean_secs: 0.0,
-                        min_secs: f64::INFINITY,
-                        max_secs: f64::NEG_INFINITY,
-                    });
-                    groups.last_mut().expect("just pushed")
-                }
-            };
-            entry.runs += 1;
-            entry.mean_secs += stat.elapsed_time;
-            entry.min_secs = entry.min_secs.min(stat.elapsed_time);
-            entry.max_secs = entry.max_secs.max(stat.elapsed_time);
-        }
-        for g in &mut groups {
-            g.mean_secs /= g.runs as f64;
-        }
-        groups.sort_by(|a, b| a.key.cmp(&b.key));
-        groups
-    }
-}
-
-/// Per-group elapsed-time summary from [`StatsDb::summarize`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct GroupSummary {
-    /// Group key.
-    pub key: String,
-    /// Records in the group.
-    pub runs: u64,
-    /// Mean elapsed seconds.
-    pub mean_secs: f64,
-    /// Fastest run.
-    pub min_secs: f64,
-    /// Slowest run.
-    pub max_secs: f64,
 }
 
 #[cfg(test)]
@@ -252,25 +205,5 @@ mod tests {
         let db = db();
         assert_eq!(db.select(&Filter::any().cold(true)).len(), 4);
         assert_eq!(db.select(&Filter::any().cold(false)).len(), 0);
-    }
-
-    #[test]
-    fn summarize_groups_and_aggregates() {
-        let mut db = db();
-        db.insert(sample_stat(0, "PHJ", 110.17)); // second PHJ run
-        let groups = db.summarize(&Filter::any(), |s| s.algo.clone());
-        assert_eq!(groups.len(), 4);
-        let phj = groups.iter().find(|g| g.key == "PHJ").unwrap();
-        assert_eq!(phj.runs, 2);
-        assert!((phj.mean_secs - 100.0).abs() < 1e-9);
-        assert!((phj.min_secs - 89.83).abs() < 1e-9);
-        assert!((phj.max_secs - 110.17).abs() < 1e-9);
-        // Keys are sorted.
-        let keys: Vec<&str> = groups.iter().map(|g| g.key.as_str()).collect();
-        assert_eq!(keys, vec!["CHJ", "NL", "NOJOIN", "PHJ"]);
-        // An empty filter result gives no groups.
-        assert!(db
-            .summarize(&Filter::any().algo("X"), |s| s.algo.clone())
-            .is_empty());
     }
 }

@@ -19,7 +19,7 @@ pub mod latency;
 pub mod merge;
 pub mod model;
 
-pub use db::{Filter, GroupSummary, StatsDb};
+pub use db::{Filter, StatsDb};
 pub use export::to_operator_csv;
 pub use latency::{parse_latency_csv, to_latency_csv, LatencyStat, LogHistogram};
 pub use merge::merge_stats;

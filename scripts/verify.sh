@@ -13,7 +13,8 @@ cargo fmt --check
 
 # The source-structure gates (raw pins in joins, batch-size forks,
 # per-kind request stages, `Stat` literals, byte codecs outside
-# proto.rs) are tests/structure.rs, run by the workspace tests below.
+# proto.rs, static atomics) are tests/structure.rs, run by the
+# workspace tests below.
 
 echo "== build (release, workspace) =="
 cargo build --release --workspace
@@ -38,62 +39,14 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== smoke figure (TQ_SCALE=200, TQ_JOBS=2) =="
-# Planner agreement across --planner policies, TQ_PARALLEL=1 stdout
-# identity and the exit-2 contract for bad flags and knobs are tier-1
-# tests now (crates/bench/tests/figures_golden.rs and cli.rs).
+# Planner agreement across --planner policies, the exit-2 contract for
+# bad flags and knobs and the loadgen serve smokes are tier-1 tests
+# (crates/bench/tests/figures_golden.rs, cli.rs and serve_smoke.rs).
 SMOKE_T0=$(date +%s%N)
 TQ_SCALE=200 TQ_JOBS=2 \
     cargo run --release -p tq-bench --bin tq-fig -- fig11_14_joins --db db2 --org class
 SMOKE_T1=$(date +%s%N)
 echo "smoke figure wall clock: $(( (SMOKE_T1 - SMOKE_T0) / 1000000 )) ms"
-
-echo "== smoke serve (TQ_SCALE=200, TQ_CONCURRENCY=4, 2s) =="
-# loadgen itself exits non-zero on any serving error or leaked handle;
-# on top of that, check the latency CSV on stdout is well formed.
-SERVE_CSV=$(TQ_SCALE=200 TQ_JOBS=2 TQ_CONCURRENCY=4 TQ_DURATION=2 \
-    cargo run --release -p tq-bench --bin loadgen)
-echo "$SERVE_CSV"
-echo "$SERVE_CSV" | grep -q \
-    '^label,concurrency,workers,queue_depth,duration_ns,ok,shed,shed_router,deadline_exceeded,errors,' \
-    || { echo "error: loadgen latency-CSV header missing" >&2; exit 1; }
-SERVE_ROWS=$(echo "$SERVE_CSV" | awk -F, '/^label,/{h=1;next} h && NF==18' | wc -l)
-[ "$SERVE_ROWS" -eq 1 ] \
-    || { echo "error: expected 1 well-formed latency-CSV row, got $SERVE_ROWS" >&2; exit 1; }
-echo "$SERVE_CSV" | awk -F, '/^label,/{h=1;next} h { exit !($11 == 0 && $12 == 0) }' \
-    || { echo "error: read-only serve reported commits/aborts" >&2; exit 1; }
-# Unsharded runs shed only at the (single) server's queue: the
-# router-edge column must be zero.
-echo "$SERVE_CSV" | awk -F, '/^label,/{h=1;next} h { exit !($8 == 0) }' \
-    || { echo "error: unsharded serve reported router-edge sheds" >&2; exit 1; }
-
-echo "== smoke serve, mixed writes (TQ_WRITE_MIX=30) =="
-# Same loadgen gate under a 30% write mix: still zero errors and zero
-# leaked handles (loadgen exits non-zero otherwise), at least one
-# commit actually published, and the abort column well formed (aborts
-# never exceed commit attempts; both land in their own CSV columns).
-MIX_CSV=$(TQ_SCALE=200 TQ_JOBS=2 TQ_CONCURRENCY=4 TQ_DURATION=2 TQ_WRITE_MIX=30 \
-    cargo run --release -p tq-bench --bin loadgen)
-echo "$MIX_CSV"
-MIX_ROWS=$(echo "$MIX_CSV" | awk -F, '/^label,/{h=1;next} h && NF==18' | wc -l)
-[ "$MIX_ROWS" -eq 1 ] \
-    || { echo "error: expected 1 well-formed mixed latency-CSV row, got $MIX_ROWS" >&2; exit 1; }
-echo "$MIX_CSV" | awk -F, '/^label,/{h=1;next} h { exit !($10 == 0 && $11 > 0 && $12 >= 0) }' \
-    || { echo "error: mixed serve must commit writes without errors" >&2; exit 1; }
-
-echo "== smoke serve, sharded (TQ_SHARDS=2) =="
-# Two engine shards behind the scatter-gather router, same closed loop:
-# zero errors and zero leaked handles (loadgen exits non-zero
-# otherwise), a well-formed 18-column row, and shed accounting that
-# distinguishes the router edge from the shard queues (router-edge
-# sheds are a subset of the total).
-SHARD_CSV=$(TQ_SCALE=200 TQ_JOBS=2 TQ_CONCURRENCY=4 TQ_DURATION=2 TQ_SHARDS=2 \
-    cargo run --release -p tq-bench --bin loadgen)
-echo "$SHARD_CSV"
-SHARD_ROWS=$(echo "$SHARD_CSV" | awk -F, '/^label,/{h=1;next} h && NF==18' | wc -l)
-[ "$SHARD_ROWS" -eq 1 ] \
-    || { echo "error: expected 1 well-formed sharded latency-CSV row, got $SHARD_ROWS" >&2; exit 1; }
-echo "$SHARD_CSV" | awk -F, '/^label,/{h=1;next} h { exit !($8 <= $7 && $10 == 0) }' \
-    || { echo "error: sharded serve errored or mis-attributed sheds" >&2; exit 1; }
 
 echo "== sharded differential oracle (release) =="
 # Sharded results byte-identical to the unsharded engine for every

@@ -9,10 +9,15 @@ use std::path::Path;
 /// `(line number, line)` for every line of `source` containing one of
 /// `needles`.
 fn matching_lines<'a>(source: &'a str, needles: &[&str]) -> Vec<(usize, &'a str)> {
+    lines_where(source, |line| needles.iter().any(|n| line.contains(n)))
+}
+
+/// `(line number, line)` for every line of `source` that `keep` keeps.
+fn lines_where(source: &str, keep: impl Fn(&str) -> bool) -> Vec<(usize, &str)> {
     source
         .lines()
         .enumerate()
-        .filter(|(_, line)| needles.iter().any(|n| line.contains(n)))
+        .filter(|(_, line)| keep(line))
         .map(|(i, line)| (i + 1, line))
         .collect()
 }
@@ -47,11 +52,18 @@ fn read(file: &str) -> String {
 /// `file:line: text` for every line under `dirs` containing one of
 /// `needles`, skipping the files named in `except`.
 fn violations(dirs: &[&str], except: &[&str], needles: &[&str]) -> Vec<String> {
+    violations_where(dirs, except, |line| {
+        needles.iter().any(|n| line.contains(n))
+    })
+}
+
+/// [`violations`] for the lines `keep` keeps.
+fn violations_where(dirs: &[&str], except: &[&str], keep: impl Fn(&str) -> bool) -> Vec<String> {
     dirs.iter()
         .flat_map(|dir| files_under(dir))
         .filter(|file| !except.contains(&file.as_str()))
         .flat_map(|file| {
-            matching_lines(&read(&file), needles)
+            lines_where(&read(&file), &keep)
                 .into_iter()
                 .map(|(n, line)| format!("{file}:{n}: {}", line.trim()))
                 .collect::<Vec<_>>()
@@ -109,6 +121,18 @@ const BYTE_CODEC: &[&str] = &["to_le_bytes", "from_le_bytes"];
 /// process environment races every other test in its binary.
 const ENV_WRITE: &[&str] = &["env::set_var", "env::remove_var"];
 
+/// How a query runs is a value it carries (its store's batch size, a
+/// degree argument, its cancel token's fault), never a `static` atomic
+/// that every query in the process shares and no run records.
+fn static_atomic(line: &str) -> bool {
+    let line = line.trim_start();
+    let line = ["pub(crate) ", "pub "]
+        .iter()
+        .find_map(|vis| line.strip_prefix(vis))
+        .unwrap_or(line);
+    line.starts_with("static ") && line.contains(": Atomic")
+}
+
 #[test]
 fn joins_use_the_executor_layer() {
     let found = violations(&["crates/core/src/join"], &[], RAW_PIN);
@@ -157,18 +181,38 @@ fn nothing_writes_the_process_environment() {
 }
 
 #[test]
+fn no_process_global_configuration() {
+    let found: Vec<String> = violations_where(&["crates"], &[], static_atomic)
+        .into_iter()
+        .filter(|v| {
+            v.split(':')
+                .next()
+                .is_some_and(|file| file.contains("/src/"))
+        })
+        .collect();
+    assert!(found.is_empty(), "process-global atomics:\n{found:#?}");
+}
+
+#[test]
 fn every_gate_fires_on_a_planted_violation() {
     let planted = "fn a() {}\n\
                    let h = store.fetch(rid)?;\n\
                    if batch <= 1 { row() }\n\
                    fn execute_chain(w: Work) {}\n\
                    out.extend(&n.to_le_bytes());\n\
-                   std::env::set_var(knob, value);\n";
+                   std::env::set_var(knob, value);\n\
+                   pub static BATCH: AtomicUsize = AtomicUsize::new(1);\n";
     assert_eq!(matching_lines(planted, RAW_PIN)[0].0, 2);
     assert_eq!(matching_lines(planted, BATCH_FORK)[0].0, 3);
     assert_eq!(matching_lines(planted, PER_KIND_STAGE)[0].0, 4);
     assert_eq!(matching_lines(planted, BYTE_CODEC)[0].0, 5);
     assert_eq!(matching_lines(planted, ENV_WRITE)[0].0, 6);
+    assert_eq!(lines_where(planted, static_atomic)[0].0, 7);
+    assert!(lines_where(
+        "flag: Arc<AtomicBool>,\nstatic HOOK: Once = Once::new();\n",
+        static_atomic
+    )
+    .is_empty());
     assert!(matching_lines("let v = std::env::var(\"TQ_SCALE\");\n", ENV_WRITE).is_empty());
     assert!(matching_lines("fn a() { exec.fetch_chunk(n) }\n", RAW_PIN).is_empty());
 

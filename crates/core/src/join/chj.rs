@@ -19,7 +19,16 @@
 //!
 //! Operator composition: `IndexRangeScan(children)` → `HashBuild`,
 //! then `IndexRangeScan(parents)` → `HashProbe` with `Emit` on hits.
+//!
+//! Host layout: the table is one [`RidMultimap`] — parent slots over a
+//! single arena of child keys — reserved before the build from the
+//! driving list's length. At morsel degree > 1 every span's partial
+//! table is reserved on the coordinator before its worker starts; the
+//! first, reserved for the whole list, becomes the table, and the
+//! others are appended to it with one relink per parent. The simulated
+//! bytes (per slot and per key, above) never see this layout.
 
+use super::multimap::RidMultimap;
 use super::parallel::{MorselPanic, Morsels};
 use super::{
     flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, CHJ_CHILD_ENTRY_BYTES,
@@ -28,7 +37,7 @@ use super::{
 use crate::exec::{index_range_scan, int_attr, ExecContext, OpKind};
 use crate::spec::HashKeyMode;
 use crate::swap::SwapSim;
-use tq_fasthash::FxHashMap;
+use std::ops::Range;
 use tq_index::BTreeIndex;
 use tq_objstore::{ClassId, Rid};
 use tq_pagestore::CpuEvent;
@@ -48,17 +57,16 @@ fn child_entry_bytes(opts: &JoinOptions) -> u64 {
 /// the directory pessimistically by the full parent cardinality — an
 /// *approximation*; the executor only pays for parents that actually
 /// hold selected children).
-#[derive(Clone)]
 struct ChildTable {
-    slots: FxHashMap<Rid, Vec<i64>>,
-    children: u64,
+    slots: RidMultimap,
     swap: SwapSim,
 }
 
 impl ChildTable {
     /// Directory + entry bytes at the current fill.
     fn bytes(&self, opts: &JoinOptions) -> u64 {
-        CHJ_PARENT_SLOT_BYTES * self.slots.len() as u64 + self.children * child_entry_bytes(opts)
+        CHJ_PARENT_SLOT_BYTES * self.slots.len() as u64
+            + self.slots.key_count() as u64 * child_entry_bytes(opts)
     }
 }
 
@@ -72,15 +80,13 @@ pub(super) fn run(
     report: &mut JoinReport,
 ) -> Result<(), MorselPanic> {
     let parent_class = ex.store.collection(&spec.parents).class;
+    let parent_count = ex.store.collection(&spec.parents).run.count as usize;
     let budget = ex.store.stack().model().operator_memory_budget;
-    let mut table = ChildTable {
-        slots: FxHashMap::default(),
-        children: 0,
-        swap: SwapSim::new(0, budget),
-    };
 
-    // Build: the children are the driving list. A worker files its
-    // morsel into its own (initially empty) copy of the table.
+    // Build: the children are the driving list. Each span fills a
+    // partial table with room for all of its keys, under at most one
+    // slot per parent; the first becomes the table, so it has room for
+    // the whole list.
     let children = index_range_scan(
         ex,
         child_index,
@@ -88,30 +94,36 @@ pub(super) fn run(
         opts.sort_index_rids,
         &spec.children,
     );
-    let partials = morsels.run(
-        ex,
-        children.len(),
-        report,
-        &mut table,
-        |ex, span, report, table| {
-            build_children(ex, spec, opts, &children[span], table, report);
-        },
-    )?;
-    // Partial tables come back in child-list order, so appending them
-    // slot by slot leaves every parent holding its child keys in
-    // exactly the one-context insertion order — the probe's emit
-    // sequence does not depend on the degree.
-    for partial in partials {
-        for (prid, keys) in partial.slots {
-            table.slots.entry(prid).or_default().extend(keys);
+    let n = children.len();
+    let new_table = |span: Range<usize>| {
+        let keys = if span.start == 0 { n } else { span.len() };
+        ChildTable {
+            slots: RidMultimap::with_capacity(keys.min(parent_count), keys),
+            swap: SwapSim::new(0, budget),
         }
-        table.children += partial.children;
-        report.swap_faults += partial.swap.faults();
+    };
+    let mut partials = morsels
+        .run(ex, n, report, new_table, |ex, span, report, table| {
+            build_children(ex, spec, opts, &children[span], table, report);
+        })?
+        .into_iter();
+    let mut table = partials.next().unwrap_or_else(|| new_table(0..0));
+    if morsels.degree() > 1 {
+        // Partial tables come back in child-list order, so appending
+        // them leaves every parent holding its child keys in exactly
+        // the one-context insertion order — the probe's emit sequence
+        // does not depend on the degree.
+        report.swap_faults += table.swap.faults();
+        for partial in partials {
+            table.slots.append(partial.slots);
+            report.swap_faults += partial.swap.faults();
+        }
+        // A table assembled from partials has never been resident: the
+        // probe starts from an empty residency of the final size.
+        table.swap = SwapSim::new(0, budget);
     }
     report.hash_table_bytes = table.bytes(opts);
-    // A table assembled from partials has never been resident: the
-    // probe starts from an empty residency of the final size (same
-    // page count as the one-context build leaves, which this no-ops on).
+    // The one-context build left the swap at this size already.
     table.swap.grow_to(report.hash_table_bytes);
 
     // Probe: scan selected parents sequentially, on this context —
@@ -128,7 +140,8 @@ pub(super) fn run(
     if opts.hash_key == HashKeyMode::Handle {
         // Tear the pinned table handles down (the table's cost).
         ex.op(OpKind::HashBuild, &spec.children, |ex| {
-            ex.store.charge(CpuEvent::HandleFree, table.children);
+            let children = table.slots.key_count() as u64;
+            ex.store.charge(CpuEvent::HandleFree, children);
         });
     }
     Ok(())
@@ -163,8 +176,7 @@ fn build_children(
                     let prid = child
                         .ref_rid(spec.child_parent)
                         .expect("child parent reference");
-                    table.slots.entry(prid).or_default().push(child_key);
-                    table.children += 1;
+                    table.slots.push(prid, child_key);
                     ex.store.charge(CpuEvent::HashInsert, 1);
                     if opts.hash_key == HashKeyMode::Handle {
                         ex.store.charge(CpuEvent::HandleAlloc, 1);
@@ -209,9 +221,8 @@ fn probe_parents(
                     if table.swap.touch(rid_hash(prid)) {
                         ex.store.charge(CpuEvent::SwapFault, 1);
                     }
-                    if let Some(child_keys) = table.slots.get(&prid) {
-                        pending.extend(child_keys.iter().map(|&child_key| (parent_key, child_key)));
-                    }
+                    let child_keys = table.slots.get(&prid);
+                    pending.extend(child_keys.map(|child_key| (parent_key, child_key)));
                 },
             );
             if pending.len() >= batch {

@@ -13,7 +13,10 @@
 //!
 //! The implementation is shared by both hash joins:
 //! [`BuildSide::Parents`] gives hybrid-PHJ, [`BuildSide::Children`]
-//! hybrid-CHJ.
+//! hybrid-CHJ. Either way a partition's table — the in-memory one and
+//! each spilled one's — is a `RidMultimap` from join rid to the build
+//! side's keys, in arrival order: a parent rid holds one key, a parent
+//! slot all of its children's.
 //!
 //! Operator composition: the in-memory partition runs under the same
 //! `HashBuild`/`HashProbe` nodes as the plain joins; spilled-partition
@@ -21,13 +24,13 @@
 //! labelled build/probe nodes, and releasing the spill space is a
 //! `Teardown`.
 
+use super::multimap::RidMultimap;
 use super::spill::{SpillRun, SpillWriter};
 use super::{
     flush_emits, rid_hash, JoinOptions, JoinReport, TreeJoinSpec, CHJ_CHILD_ENTRY_BYTES,
     CHJ_PARENT_SLOT_BYTES, PHJ_ENTRY_BYTES,
 };
 use crate::exec::{index_range_scan, ExecContext, OpKind};
-use tq_fasthash::FxHashMap;
 use tq_index::BTreeIndex;
 use tq_objstore::{ObjectStore, Record, Rid};
 use tq_pagestore::CpuEvent;
@@ -175,7 +178,7 @@ pub(super) fn run(
     let chunk = if partitions > 1 { 1 } else { batch };
 
     // The in-memory (partition 0) table: join-rid -> payload keys.
-    let mut mem: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();
+    let mut mem = RidMultimap::default();
     let mut spills = ex.op(OpKind::HashBuild, build_label, |ex| {
         let mut spills = make_spills(ex.store, partitions);
         for part in build_pairs.chunks(chunk) {
@@ -191,7 +194,7 @@ pub(super) fn run(
                     let p = partition_of(join_rid, partitions);
                     ex.store.charge(CpuEvent::HashInsert, 1);
                     if p == 0 {
-                        mem.entry(join_rid).or_default().push(key);
+                        mem.push(join_rid, key);
                     } else {
                         spills.build[p as usize - 1].push(ex.store.stack_mut(), key, join_rid);
                     }
@@ -219,9 +222,8 @@ pub(super) fn run(
                     let p = partition_of(join_rid, partitions);
                     if p == 0 {
                         ex.store.charge(CpuEvent::HashProbe, 1);
-                        if let Some(payloads) = mem.get(&join_rid) {
-                            pending.extend(payloads.iter().map(|&payload| pair(payload, key)));
-                        }
+                        let payloads = mem.get(&join_rid);
+                        pending.extend(payloads.map(|payload| pair(payload, key)));
                     } else {
                         spills.probe[p as usize - 1].push(ex.store.stack_mut(), key, join_rid);
                     }
@@ -256,20 +258,19 @@ pub(super) fn run(
     });
     for (build_run, probe_run) in build_runs.iter().zip(&probe_runs) {
         report.spill_pages += (build_run.pages + probe_run.pages) as u64;
-        let mut table: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();
+        let mut table = RidMultimap::default();
         ex.op(OpKind::HashBuild, "spill", |ex| {
             for (key, join_rid) in build_run.read_all(ex.store.stack_mut()) {
                 ex.store.charge(CpuEvent::HashInsert, 1);
-                table.entry(join_rid).or_default().push(key);
+                table.push(join_rid, key);
             }
         });
         ex.op(OpKind::HashProbe, "spill", |ex| {
             let mut pending = ex.take_val_batch();
             for (key, join_rid) in probe_run.read_all(ex.store.stack_mut()) {
                 ex.store.charge(CpuEvent::HashProbe, 1);
-                if let Some(payloads) = table.get(&join_rid) {
-                    pending.extend(payloads.iter().map(|&payload| pair(payload, key)));
-                }
+                let payloads = table.get(&join_rid);
+                pending.extend(payloads.map(|payload| pair(payload, key)));
                 if pending.len() >= batch {
                     let at = ex.current_node();
                     flush_emits(ex, at, &mut pending, &[], spec, report);

@@ -29,6 +29,7 @@
 pub mod chain;
 mod chj;
 pub mod hybrid;
+mod multimap;
 mod nl;
 mod nojoin;
 pub mod parallel;

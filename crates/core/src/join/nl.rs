@@ -56,14 +56,20 @@ pub(super) fn run(
         false,
         &spec.parents,
     );
-    morsels.run(ex, parents.len(), report, &mut (), |ex, span, report, _| {
-        ex.op(OpKind::IndexRangeScan, &spec.parents, |ex| {
-            let mut items = parents[span].iter().copied();
-            scan_parents(ex, spec, parent_class, child_class, report, |_| {
-                items.next()
+    morsels.run(
+        ex,
+        parents.len(),
+        report,
+        |_| (),
+        |ex, span, report, _| {
+            ex.op(OpKind::IndexRangeScan, &spec.parents, |ex| {
+                let mut items = parents[span].iter().copied();
+                scan_parents(ex, spec, parent_class, child_class, report, |_| {
+                    items.next()
+                });
             });
-        });
-    })?;
+        },
+    )?;
     Ok(())
 }
 

@@ -44,7 +44,7 @@ pub(super) fn run(
         ex,
         children.len(),
         report,
-        &mut (),
+        |_| (),
         |ex, span, report, _| {
             let children = &children[span];
             scan_children(ex, spec, parent_class, child_class, children, report);

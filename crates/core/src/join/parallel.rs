@@ -21,8 +21,11 @@
 //!   [absorbs](ExecContext::absorb) into its own node tree by
 //!   `(parent, kind, label)` — the `merge_stats` arithmetic at operator
 //!   granularity — so the query still ends in one serial-shaped trace;
-//! * a clone of the body's mutable state (a hash join's swap
-//!   simulation, CHJ's partial table), handed back in morsel order;
+//! * its own piece of the body's mutable state (PHJ's copy of the
+//!   post-build swap simulation, CHJ's partial table), made and sized
+//!   on the coordinator before the worker starts — so what the query
+//!   keeps is not left in a worker thread's malloc arena — and handed
+//!   back in morsel order;
 //! * the query's [`CancelToken`], measured from the query's start so a
 //!   deadline fires against total simulated time; a worker that
 //!   unwinds with [`Cancelled`] trips the shared token so its siblings
@@ -134,7 +137,7 @@ struct Morsel<S> {
     /// The worker's end-of-query drain (deferred handle-frees), run on
     /// its clone inside the measured window.
     teardown: OpCounters,
-    /// The worker's copy of the body's state, as the body left it.
+    /// The worker's state, as the body left it.
     state: S,
 }
 
@@ -161,17 +164,19 @@ impl Morsels {
         self.cancel.as_ref().and_then(|t| t.fail_worker)
     }
 
-    /// Runs `work` over the driving items `0..n`.
+    /// Runs `work` over the driving items `0..n`, each span with the
+    /// state `state(span)` makes for it; the states come back, as the
+    /// work left them, in span order.
     ///
-    /// At degree 1: one call, `work(ex, 0..n, report, state)`, inline.
-    /// Nothing comes back — `report` and `state` *are* the caller's.
+    /// At degree 1: one span, `0..n`, run inline — `work(ex, 0..n,
+    /// report, &mut state(0..n))`, `report` the caller's.
     ///
     /// At degree > 1: one scoped worker per [`morsel_spans`] span, each
     /// on a private clone of `ex`'s store with a fresh partial report
-    /// and a clone of `state`. Every worker is joined before returning;
-    /// their counts and pairs fold into `report` and their traces into
-    /// `ex` in morsel order, and their states come back in that order
-    /// (`state` itself is untouched). A worker that unwinds with
+    /// and its own state, made here on the coordinator before the
+    /// worker starts (no span, no state). Every worker is joined before
+    /// returning; their counts and pairs fold into `report` and their
+    /// traces into `ex` in morsel order. A worker that unwinds with
     /// [`Cancelled`] trips the shared token (stopping siblings at their
     /// next boundary) and is re-raised after the join; any other panic
     /// is captured as a typed [`MorselPanic`] (first worker in morsel
@@ -182,11 +187,11 @@ impl Morsels {
         ex: &mut ExecContext<'_>,
         n: usize,
         report: &mut JoinReport,
-        state: &mut S,
+        mut state: impl FnMut(Range<usize>) -> S,
         work: F,
     ) -> Result<Vec<S>, MorselPanic>
     where
-        S: Clone + Send,
+        S: Send,
         F: Fn(&mut ExecContext<'_>, Range<usize>, &mut JoinReport, &mut S) + Sync,
     {
         if self.degree == 1 {
@@ -196,8 +201,9 @@ impl Morsels {
             if self.failing_worker() == Some(0) {
                 panic!("injected morsel failure (worker 0)");
             }
-            work(ex, 0..n, report, state);
-            return Ok(Vec::new());
+            let mut state = state(0..n);
+            work(ex, 0..n, report, &mut state);
+            return Ok(vec![state]);
         }
         let spans = morsel_spans(n, ex.batch_size(), self.degree);
         let collect = report.pairs.is_some();
@@ -209,7 +215,7 @@ impl Morsels {
                 .map(|(w, &(lo, hi))| {
                     let mut store = ex.store.clone();
                     let token = self.cancel.clone();
-                    let mut state = state.clone();
+                    let mut state = state(lo..hi);
                     s.spawn(move || {
                         let clock0 = store.clock().elapsed();
                         let io0 = store.stats();

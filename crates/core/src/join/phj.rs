@@ -69,8 +69,9 @@ pub(super) fn run(
     let build_faults = swap.faults();
 
     // Probe: scan selected children sequentially, probe by parent rid.
-    // The children are the driving list; a worker pages against its own
-    // copy of the post-build swap state.
+    // The children are the driving list; each span pages against its
+    // own copy of the post-build swap state, the last one against the
+    // build's own (every state is made before any span runs).
     let children = index_range_scan(
         ex,
         child_index,
@@ -78,18 +79,28 @@ pub(super) fn run(
         opts.sort_index_rids,
         &spec.children,
     );
-    let worker_swaps = morsels.run(
+    let n = children.len();
+    let mut build_swap = Some(swap);
+    let probe_swaps = morsels.run(
         ex,
-        children.len(),
+        n,
         report,
-        &mut swap,
+        |span| {
+            let last = span.end == n;
+            let swap = if last {
+                build_swap.take()
+            } else {
+                build_swap.clone()
+            };
+            swap.expect("only the last span takes the build's swap")
+        },
         |ex, span, report, swap| {
             let children = &children[span];
             probe_children(ex, spec, child_class, children, &table, swap, report);
         },
     )?;
     let probe_faults = |s: &SwapSim| s.faults() - build_faults;
-    report.swap_faults = swap.faults() + worker_swaps.iter().map(probe_faults).sum::<u64>();
+    report.swap_faults = build_faults + probe_swaps.iter().map(probe_faults).sum::<u64>();
     if opts.hash_key == HashKeyMode::Handle {
         // Tear the pinned table handles down (the table's cost).
         ex.op(OpKind::HashBuild, &spec.parents, |ex| {

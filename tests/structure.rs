@@ -121,6 +121,10 @@ const BYTE_CODEC: &[&str] = &["to_le_bytes", "from_le_bytes"];
 /// process environment races every other test in its binary.
 const ENV_WRITE: &[&str] = &["env::set_var", "env::remove_var"];
 
+/// A child-keyed join table is one flat rid multimap — a directory
+/// over one key arena; a map of per-rid `Vec`s allocates once per rid.
+const MAP_OF_VECS: &[&str] = &["HashMap<Rid, Vec<"];
+
 /// How a query runs is a value it carries (its store's batch size, a
 /// degree argument, its cancel token's fault), never a `static` atomic
 /// that every query in the process shares and no run records.
@@ -143,6 +147,12 @@ fn joins_use_the_executor_layer() {
 fn one_loop_body_per_operator() {
     let found = violations(&["crates/core/src"], &[], BATCH_FORK);
     assert!(found.is_empty(), "a batch-size fork is back:\n{found:#?}");
+}
+
+#[test]
+fn child_keyed_tables_are_flat() {
+    let found = violations(&["crates/core/src"], &[], MAP_OF_VECS);
+    assert!(found.is_empty(), "a map of per-rid Vecs:\n{found:#?}");
 }
 
 #[test]
@@ -201,13 +211,15 @@ fn every_gate_fires_on_a_planted_violation() {
                    fn execute_chain(w: Work) {}\n\
                    out.extend(&n.to_le_bytes());\n\
                    std::env::set_var(knob, value);\n\
-                   pub static BATCH: AtomicUsize = AtomicUsize::new(1);\n";
+                   pub static BATCH: AtomicUsize = AtomicUsize::new(1);\n\
+                   let mut slots: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();\n";
     assert_eq!(matching_lines(planted, RAW_PIN)[0].0, 2);
     assert_eq!(matching_lines(planted, BATCH_FORK)[0].0, 3);
     assert_eq!(matching_lines(planted, PER_KIND_STAGE)[0].0, 4);
     assert_eq!(matching_lines(planted, BYTE_CODEC)[0].0, 5);
     assert_eq!(matching_lines(planted, ENV_WRITE)[0].0, 6);
     assert_eq!(lines_where(planted, static_atomic)[0].0, 7);
+    assert_eq!(matching_lines(planted, MAP_OF_VECS)[0].0, 8);
     assert!(lines_where(
         "flag: Arc<AtomicBool>,\nstatic HOOK: Once = Once::new();\n",
         static_atomic

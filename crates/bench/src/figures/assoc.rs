@@ -9,7 +9,7 @@
 //! the prediction.
 
 use crate::harness::build_db;
-use crate::parallel::run_cells;
+use crate::harness::run_cells;
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{seq_scan, JoinAlgo, JoinOptions};
 use tq_server::measure::run_join_cell;

@@ -9,7 +9,7 @@
 //! than once.
 
 use crate::harness::build_db;
-use crate::parallel::run_cells;
+use crate::harness::run_cells;
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{index_scan, seq_scan, ExecTrace};
 use tq_server::measure::operator_rows;

@@ -7,8 +7,8 @@
 //! they remained good."
 
 use crate::harness::build_db;
+use crate::harness::run_cells;
 use crate::paper::FIG7_SORTED_VS_NOINDEX;
-use crate::parallel::run_cells;
 use tq_query::explain::CostBreakdown;
 use tq_query::spec::{CmpOp, ResultMode, Selection};
 use tq_query::{seq_scan, sorted_index_scan};

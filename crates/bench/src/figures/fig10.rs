@@ -1,8 +1,8 @@
 //! Figure 10: hash-table size approximations, formula vs. measurement.
 
 use crate::harness::build_db;
+use crate::harness::run_cells;
 use crate::paper::FIG10_HASH_SIZES;
-use crate::parallel::run_cells;
 use tq_query::{hash_table_bytes, JoinAlgo};
 use tq_server::measure::run_join_cell;
 use tq_workload::{DbShape, Organization};

@@ -9,7 +9,7 @@
 //!   [`CostModel::sparc20_improved_handles`].
 
 use crate::harness::build_db;
-use crate::parallel::run_cells;
+use crate::harness::run_cells;
 use tq_pagestore::CostModel;
 use tq_query::join::JoinOptions;
 use tq_query::spec::{CmpOp, ResultMode, Selection};

@@ -8,7 +8,7 @@
 //! memory.
 
 use crate::harness::build_db;
-use crate::parallel::run_cells;
+use crate::harness::run_cells;
 use tq_query::{JoinAlgo, JoinOptions};
 use tq_server::measure::run_join_cell;
 use tq_workload::{DbShape, Organization};

@@ -1,8 +1,8 @@
 //! Figures 11–14: the join-algorithm comparison tables.
 
 use crate::harness::build_db;
+use crate::harness::run_cells;
 use crate::paper;
-use crate::parallel::run_cells;
 use tq_query::{JoinAlgo, JoinOptions};
 use tq_server::measure::{run_join_cell, stat_record};
 use tq_statsdb::{Filter, StatsDb};

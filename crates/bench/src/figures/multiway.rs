@@ -11,7 +11,7 @@
 //! `ratio` column is plan quality.
 
 use crate::harness::build_db;
-use crate::parallel::run_cells;
+use crate::harness::run_cells;
 use tq_query::{render_chain_plan, PlannerPolicy};
 use tq_server::measure::{chain_stat_record, compile_chain_spec, run_chain_cell};
 use tq_statsdb::StatsDb;

@@ -6,7 +6,7 @@
 //! what they cannot (the per-object handle CPU of §4): navigation
 //! algorithms stay expensive even when every page is resident.
 
-use crate::parallel::run_cells;
+use crate::harness::run_cells;
 use tq_query::{JoinAlgo, JoinOptions};
 use tq_server::measure::{run_join_cell, run_join_cell_warm};
 use tq_workload::{build, BuildConfig, DbShape, Organization};

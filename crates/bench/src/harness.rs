@@ -1,13 +1,15 @@
 //! Shared machinery for the figures: database construction, the
-//! binaries' spellings of a shape and an organization, and the
-//! estimator profile.
+//! binaries' spellings of a shape and an organization, and the cell
+//! fan-out.
 //!
 //! The measurement protocol itself (cold runs, teardown attribution,
 //! `Stat` conversion) lives in [`tq_server::measure`] so the query
 //! service and the figure harness execute queries through one code
 //! path. Environment parsing lives in [`crate::env`].
 
-use tq_query::estimator::PhysicalProfile;
+use std::panic::resume_unwind;
+
+use tq_query::fan_out;
 use tq_workload::{build, BuildConfig, Database, DbShape, Organization};
 
 /// Builds the database for a figure, honouring `TQ_SCALE`.
@@ -48,61 +50,57 @@ pub fn parse_org(s: &str) -> Option<Organization> {
     }
 }
 
-/// The estimator's view of a database.
-pub fn physical_profile(db: &Database) -> PhysicalProfile {
-    let disk = db.store.stack().disk();
-    let (parent_pages, child_pages) = match db.config.organization {
-        Organization::ClassClustered | Organization::AssociationOrdered => {
-            let p = disk.file_len(disk.file_by_name("providers").expect("providers file"));
-            let c = disk.file_len(disk.file_by_name("patients").expect("patients file"));
-            (p as u64, c as u64)
-        }
-        _ => {
-            let shared = disk.file_len(disk.file_by_name("objects").expect("objects file")) as u64;
-            (shared, shared)
-        }
-    };
-    let overflow_pages_per_parent = match db.config.shape {
-        DbShape::Db1 => {
-            let ovf = disk
-                .file_by_name("clients.overflow")
-                .map(|f| disk.file_len(f) as f64)
-                .unwrap_or(0.0);
-            ovf / db.provider_count as f64
-        }
-        DbShape::Db2 => 0.0,
-    };
-    PhysicalProfile {
-        parents_total: db.provider_count,
-        children_total: db.patient_count,
-        parent_scan_pages: parent_pages,
-        child_scan_pages: child_pages,
-        parent_index_clustered: db.idx_provider_upin.clustered,
-        child_index_clustered: db.idx_patient_mrn.clustered,
-        composition: db.config.organization == Organization::Composition,
-        mean_fanout: db.patient_count as f64 / db.provider_count as f64,
-        overflow_pages_per_parent,
-        client_cache_pages: db.config.cache.client_pages as u64,
-    }
+/// Runs a figure's cells [`fan_out`] `jobs` wide and returns their
+/// results in cell order. Every cell simulates its own machine (a
+/// cloned [`Database`] with its own disk, caches and clock), so the
+/// printed tables and stored `Stat`s are byte-identical at any
+/// `TQ_JOBS`. A panicking cell panics the caller.
+pub(crate) fn run_cells<J, T>(cells: Vec<J>, jobs: usize) -> Vec<T>
+where
+    J: FnOnce() -> T + Send,
+    T: Send,
+{
+    fan_out(cells, jobs)
+        .into_iter()
+        .map(|outcome| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tq_query::JoinAlgo;
-    use tq_server::measure::{run_join_cell, stat_record};
+    use tq_query::estimator::PhysicalProfile;
+    use tq_query::{Engine, JoinAlgo};
+    use tq_server::measure::{join_spec, run_join_cell, stat_record};
+    use tq_workload::{patient_attr, provider_attr};
+
+    /// The estimator's view of `db`'s provider/patient join, derived by
+    /// the engine over a clone of the store.
+    fn engine_profile(db: &Database) -> PhysicalProfile {
+        let mut engine = Engine::new(db.store.clone());
+        let derby = &db.derby;
+        engine.register_index(
+            db.idx_provider_upin.clone(),
+            derby.provider,
+            provider_attr::UPIN,
+        );
+        engine.register_index(db.idx_patient_mrn.clone(), derby.patient, patient_attr::MRN);
+        engine
+            .profile_for(&join_spec(db, 10, 10))
+            .expect("both indexes registered")
+    }
 
     #[test]
     fn profile_reflects_the_database() {
         let db = build_db(DbShape::Db2, Organization::ClassClustered, 1000);
-        let p = physical_profile(&db);
+        let p = engine_profile(&db);
         assert_eq!(p.parents_total, 1000);
         assert!(p.parent_index_clustered);
         assert!(p.child_index_clustered);
         assert!(!p.composition);
         assert!(p.parent_scan_pages > 0 && p.child_scan_pages > 0);
         let comp = build_db(DbShape::Db2, Organization::Composition, 1000);
-        let pc = physical_profile(&comp);
+        let pc = engine_profile(&comp);
         assert!(pc.composition);
         assert!(!pc.child_index_clustered);
         assert_eq!(pc.parent_scan_pages, pc.child_scan_pages);
@@ -125,7 +123,7 @@ mod tests {
     #[test]
     fn db1_profile_has_overflow_pages() {
         let db = build_db(DbShape::Db1, Organization::ClassClustered, 200);
-        let p = physical_profile(&db);
+        let p = engine_profile(&db);
         assert!(
             p.overflow_pages_per_parent > 1.0,
             "1:1000 client sets overflow ({} pages/parent)",

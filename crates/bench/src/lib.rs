@@ -16,10 +16,9 @@ pub mod env;
 pub mod figures;
 pub mod harness;
 pub mod paper;
-pub mod parallel;
 pub mod serve;
 
-pub use harness::{build_db, physical_profile};
+pub use harness::build_db;
 pub use serve::{run_serve, ServeConfig};
 
 /// Reads `TQ_SCALE` and `TQ_JOBS`, exiting 2 on a bad value.

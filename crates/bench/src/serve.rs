@@ -1,5 +1,5 @@
-//! The closed-loop serving experiment: N client threads drive the
-//! query service at a fixed concurrency for a fixed duration, each
+//! The closed-loop serving experiment: N clients, run [`fan_out`] N
+//! wide, drive the query service until a shared end instant, each
 //! running open-session → query → … → close-session over the wire
 //! protocol, recording per-query wall-clock latency into a
 //! log-scaled histogram.
@@ -24,11 +24,10 @@
 //!   outcome column, never folded into ok or errors, so the abort rate
 //!   under contention is a first-class result.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
-use tq_query::JoinAlgo;
+use tq_query::{fan_out, JoinAlgo};
 use tq_router::{Router, RouterConfig, RouterStatsSnapshot};
 use tq_server::{
     CacheMode, Client, QuerySpec, Response, Server, ServerConfig, ServerStatsSnapshot,
@@ -94,6 +93,7 @@ pub struct ServeOutcome {
 }
 
 /// Per-client tally, merged into the run totals at join time.
+#[derive(Default)]
 struct ClientTally {
     hist: LogHistogram,
     shed: u64,
@@ -187,36 +187,26 @@ pub fn run_serve(base: Database, cfg: &ServeConfig) -> ServeOutcome {
             },
         ))
     };
-    let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
     let warmup = cfg.warmup.min(cfg.duration);
-    let measure_from = started + warmup;
+    let (measure_from, end) = (started + warmup, started + cfg.duration);
     let clients: Vec<_> = (0..cfg.concurrency)
         .map(|i| {
             let conn = front.connect();
-            let stop = Arc::clone(&stop);
-            let cfg = *cfg;
-            std::thread::Builder::new()
-                .name(format!("tq-client-{i}"))
-                .spawn(move || client_loop(conn, &stop, &cfg, measure_from, i))
-                .expect("spawn client")
+            move || client_loop(conn, cfg, measure_from, end, i)
         })
         .collect();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut hist = LogHistogram::new();
-    let (mut shed, mut shed_router, mut deadline_exceeded, mut errors) = (0, 0, 0, 0);
-    let (mut commits, mut aborts, mut leaked) = (0, 0, 0);
-    for client in clients {
-        let tally = client.join().expect("client thread");
-        hist.merge(&tally.hist);
-        shed += tally.shed;
-        shed_router += tally.shed_router;
-        deadline_exceeded += tally.deadline_exceeded;
-        errors += tally.errors;
-        commits += tally.commits;
-        aborts += tally.aborts;
-        leaked += tally.leaked;
+    let mut t = ClientTally::default();
+    for outcome in fan_out(clients, cfg.concurrency as usize) {
+        let tally = outcome.unwrap_or_else(|payload| resume_unwind(payload));
+        t.hist.merge(&tally.hist);
+        t.shed += tally.shed;
+        t.shed_router += tally.shed_router;
+        t.deadline_exceeded += tally.deadline_exceeded;
+        t.errors += tally.errors;
+        t.commits += tally.commits;
+        t.aborts += tally.aborts;
+        t.leaked += tally.leaked;
     }
     // Clients have hung up; export the *measured* window (warmup
     // excluded) — it is the throughput denominator, and counting the
@@ -250,13 +240,13 @@ pub fn run_serve(base: Database, cfg: &ServeConfig) -> ServeOutcome {
         cfg.workers as u32,
         cfg.queue_depth as u32,
         duration_nanos,
-        &hist,
-        shed,
-        shed_router,
-        deadline_exceeded,
-        errors,
-        commits,
-        aborts,
+        &t.hist,
+        t.shed,
+        t.shed_router,
+        t.deadline_exceeded,
+        t.errors,
+        t.commits,
+        t.aborts,
     );
     let server_stats = front.server_stats();
     let router_stats = front.router_stats();
@@ -265,27 +255,18 @@ pub fn run_serve(base: Database, cfg: &ServeConfig) -> ServeOutcome {
         stat,
         server: server_stats,
         router: router_stats,
-        leaked_handles: leaked,
+        leaked_handles: t.leaked,
     }
 }
 
 fn client_loop(
     conn: tq_server::DuplexStream,
-    stop: &AtomicBool,
     cfg: &ServeConfig,
     measure_from: Instant,
+    end: Instant,
     client_index: u32,
 ) -> ClientTally {
-    let mut tally = ClientTally {
-        hist: LogHistogram::new(),
-        shed: 0,
-        shed_router: 0,
-        deadline_exceeded: 0,
-        errors: 0,
-        commits: 0,
-        aborts: 0,
-        leaked: 0,
-    };
+    let mut tally = ClientTally::default();
     // Behind a router, `Overloaded { shard: SHARD_SELF }` is the
     // router's own edge shedding; any concrete index is a shard queue.
     // Talking to a single server directly, SHARD_SELF *is* the shard.
@@ -301,7 +282,7 @@ fn client_loop(
             return tally;
         }
     };
-    while !stop.load(Ordering::Relaxed) {
+    while Instant::now() < end {
         let write = (rng.index(100) as u32) < cfg.write_mix;
         let t0 = Instant::now();
         // Warmup samples are discarded entirely: neither the histogram

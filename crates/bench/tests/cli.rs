@@ -1,11 +1,12 @@
 //! The binaries' command-line contract, run as processes: a malformed
 //! argument or knob exits 2 and names itself before any database is
-//! built, `--help` is generated from the registry, and a short cold
-//! `loadgen` run prints one well-formed latency-CSV row.
+//! built, `--help` is generated from the registry, a join figure on
+//! two workers prints what the registry prints in process, and a short
+//! cold `loadgen` run prints one well-formed latency-CSV row.
 
 use std::process::{Command, Output};
 
-use tq_bench::figures::FIGURES;
+use tq_bench::figures::{self, FIGURES};
 
 const KNOBS: &[&str] = &[
     "TQ_SCALE",
@@ -110,6 +111,21 @@ fn help_is_generated_from_the_registry() {
     let help = String::from_utf8(out.stdout).unwrap();
     assert!(help.contains("[--explain] [--planner estimate|simpli|syntactic]"));
     assert!(!help.contains("--measure"));
+}
+
+/// The figure smoke: the real `tq-fig` binary, its cells fanned out
+/// over two workers, exits 0 and prints byte for byte what the
+/// registry prints in this process.
+#[test]
+fn a_join_figure_on_two_workers_prints_the_registry_output() {
+    let args = ["fig11_14_joins", "--db", "db2", "--org", "class"];
+    let out = run(TQ_FIG, &args, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let fig = figures::find(args[0]).expect("a registered figure");
+    let words: Vec<String> = args[1..].iter().map(|w| w.to_string()).collect();
+    let in_process = (fig.run)(&fig.parse(&words, 1000, 2).expect("valid flags"));
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), in_process);
 }
 
 /// One cold closed-loop run of the binary: exit 0 (no error, no

@@ -6,11 +6,10 @@
 //! (BuildConfig::scaled divides them together).
 
 use tq_bench::figures::{fig06, fig07, joins};
-use tq_bench::physical_profile;
 use tq_query::planner::{choose_join, Strategy};
-use tq_query::JoinAlgo;
-use tq_server::measure::run_join_cell;
-use tq_workload::{DbShape, Organization};
+use tq_query::{Engine, JoinAlgo};
+use tq_server::measure::{join_spec, run_join_cell};
+use tq_workload::{patient_attr, provider_attr, DbShape, Organization};
 
 /// Figure 6: the unclustered-index crossover sits at low selectivity.
 #[test]
@@ -153,9 +152,19 @@ fn random_org_slower_same_winners() {
 fn cost_based_planner_is_near_optimal() {
     for org in Organization::all() {
         let mut db = tq_bench::build_db(DbShape::Db2, org, 200);
-        let profile = physical_profile(&db);
+        let mut engine = Engine::new(db.store.clone());
+        let derby = &db.derby;
+        engine.register_index(
+            db.idx_provider_upin.clone(),
+            derby.provider,
+            provider_attr::UPIN,
+        );
+        engine.register_index(db.idx_patient_mrn.clone(), derby.patient, patient_attr::MRN);
         let model = db.store.stack().model().clone();
         for (pat, prov) in [(10, 10), (90, 90)] {
+            let profile = engine
+                .profile_for(&join_spec(&db, pat, prov))
+                .expect("both indexes registered");
             let choice = choose_join(
                 Strategy::CostBased,
                 &profile,

@@ -7,8 +7,9 @@
 //! At degree 1 the body runs inline, over the whole list, on the
 //! query's own [`ExecContext`]: no clone, no thread, the serial charge
 //! sequence. At degree > 1 the list is partitioned into **morsels**,
-//! contiguous batch-aligned runs, executed on a std-only
-//! [`std::thread::scope`] worker pool. Each morsel worker owns:
+//! contiguous batch-aligned runs, executed by [`fan_out`] — the one
+//! std-only scoped fan-out, which runs figure cells and closed-loop
+//! load clients too. Each morsel worker owns:
 //!
 //! * a private [`ObjectStore`](tq_objstore::ObjectStore) clone —
 //!   carrying the coordinator's warm cache at spawn time and evolving
@@ -47,6 +48,7 @@
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use super::hybrid::{self, BuildSide};
 use super::{chj, nl, nojoin, phj, JoinContext, JoinOptions, JoinReport};
@@ -171,7 +173,7 @@ impl Morsels {
     /// At degree 1: one span, `0..n`, run inline — `work(ex, 0..n,
     /// report, &mut state(0..n))`, `report` the caller's.
     ///
-    /// At degree > 1: one scoped worker per [`morsel_spans`] span, each
+    /// At degree > 1: one [`fan_out`] job per [`morsel_spans`] span, each
     /// on a private clone of `ex`'s store with a fresh partial report
     /// and its own state, made here on the coordinator before the
     /// worker starts (no span, no state). Every worker is joined before
@@ -208,67 +210,58 @@ impl Morsels {
         let spans = morsel_spans(n, ex.batch_size(), self.degree);
         let collect = report.pairs.is_some();
         let (work, t0, fail) = (&work, self.t0, self.failing_worker());
-        let outcomes: Vec<Result<Morsel<S>, Box<dyn Any + Send>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = spans
-                .iter()
-                .enumerate()
-                .map(|(w, &(lo, hi))| {
-                    let mut store = ex.store.clone();
-                    let token = self.cancel.clone();
-                    let mut state = state(lo..hi);
-                    s.spawn(move || {
-                        let clock0 = store.clock().elapsed();
-                        let io0 = store.stats();
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            if fail == Some(w) {
-                                panic!("injected morsel failure (worker {w})");
-                            }
-                            let mut ex = ExecContext::new(&mut store);
-                            if let Some(t) = token.clone() {
-                                ex.set_cancel(t);
-                            }
-                            ex.rebase_start_nanos(t0);
-                            let mut report = JoinReport {
-                                pairs: collect.then(Vec::new),
-                                ..Default::default()
-                            };
-                            work(&mut ex, lo..hi, &mut report, &mut state);
-                            report.trace = ex.finish();
-                            report
-                        }));
-                        match out {
-                            Ok(report) => {
-                                // Drain this worker's share of the query's
-                                // deferred handle-frees before the clone
-                                // dies, still inside the measured window.
-                                let before = OpCounters::snapshot(&store);
-                                store.end_of_query();
-                                let teardown = OpCounters::snapshot(&store).delta_since(&before);
-                                Ok(Morsel {
-                                    io: store.stats().delta_since(&io0),
-                                    nanos: store.clock().elapsed() - clock0,
-                                    report,
-                                    teardown,
-                                    state,
-                                })
-                            }
-                            Err(payload) => {
-                                if payload.downcast_ref::<Cancelled>().is_some() {
-                                    if let Some(t) = &token {
-                                        t.cancel();
-                                    }
-                                }
-                                Err(payload)
+        let jobs: Vec<_> = spans
+            .iter()
+            .enumerate()
+            .map(|(w, &(lo, hi))| {
+                let mut store = ex.store.clone();
+                let token = self.cancel.clone();
+                let mut state = state(lo..hi);
+                move || {
+                    let clock0 = store.clock().elapsed();
+                    let io0 = store.stats();
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        if fail == Some(w) {
+                            panic!("injected morsel failure (worker {w})");
+                        }
+                        let mut ex = ExecContext::new(&mut store);
+                        if let Some(t) = token.clone() {
+                            ex.set_cancel(t);
+                        }
+                        ex.rebase_start_nanos(t0);
+                        let mut report = JoinReport {
+                            pairs: collect.then(Vec::new),
+                            ..Default::default()
+                        };
+                        work(&mut ex, lo..hi, &mut report, &mut state);
+                        report.trace = ex.finish();
+                        report
+                    }));
+                    let report = out.unwrap_or_else(|payload| {
+                        if payload.downcast_ref::<Cancelled>().is_some() {
+                            if let Some(t) = &token {
+                                t.cancel();
                             }
                         }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(Err))
-                .collect()
-        });
+                        resume_unwind(payload)
+                    });
+                    // Drain this worker's share of the query's deferred
+                    // handle-frees before the clone dies, still inside
+                    // the measured window.
+                    let before = OpCounters::snapshot(&store);
+                    store.end_of_query();
+                    let teardown = OpCounters::snapshot(&store).delta_since(&before);
+                    Morsel {
+                        io: store.stats().delta_since(&io0),
+                        nanos: store.clock().elapsed() - clock0,
+                        report,
+                        teardown,
+                        state,
+                    }
+                }
+            })
+            .collect();
+        let outcomes = fan_out(jobs, spans.len());
 
         let mut states = Vec::with_capacity(outcomes.len());
         let mut cancelled: Option<Box<dyn Any + Send>> = None;
@@ -310,6 +303,51 @@ impl Morsels {
         }
         Ok(states)
     }
+}
+
+/// Runs every job and returns each one's outcome in job order: its
+/// value, or the payload of the panic it raised.
+///
+/// With `width <= 1`, or fewer than two jobs, the jobs run inline on
+/// the calling thread. Otherwise `min(width, jobs.len())` scoped
+/// threads take jobs in order from one shared queue, and every thread
+/// is joined before this returns. A panicking job never stops another
+/// one: each outcome is caught where its job ran, so the caller decides
+/// what a panic means (figure cells re-raise it; morsel spans type it).
+/// Which thread ran which job never shows in the result.
+pub fn fan_out<J, T>(jobs: Vec<J>, width: usize) -> Vec<std::thread::Result<T>>
+where
+    J: FnOnce() -> T + Send,
+    T: Send,
+{
+    let run = |job: J| catch_unwind(AssertUnwindSafe(job));
+    if width <= 1 || jobs.len() <= 1 {
+        return jobs.into_iter().map(run).collect();
+    }
+    let workers = width.min(jobs.len());
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut outcomes: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Taken in its own statement: the lock is not
+                        // held while the job runs, so nothing poisons it.
+                        let next = queue.lock().expect("never held by a job").next();
+                        let Some((i, job)) = next else { break done };
+                        done.push((i, run(job)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("jobs' panics are caught"))
+            .collect()
+    });
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Best-effort panic-payload text.
@@ -419,5 +457,85 @@ mod tests {
     #[test]
     fn spans_degree_one_is_everything() {
         assert_eq!(morsel_spans(100, 8, 1), vec![(0, 100)]);
+    }
+
+    type Job = Box<dyn FnOnce() -> u32 + Send>;
+
+    /// The values of `outcomes`, re-raising the first panic.
+    fn values<T>(outcomes: Vec<std::thread::Result<T>>) -> Vec<T> {
+        outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
+    }
+
+    /// Four jobs; job 2 panics with "cell 2 exploded".
+    fn one_bad_job() -> Vec<Job> {
+        (0..4u32)
+            .map(|i| {
+                Box::new(move || {
+                    if i == 2 {
+                        panic!("cell 2 exploded");
+                    }
+                    i
+                }) as Job
+            })
+            .collect()
+    }
+
+    #[test]
+    fn empty_job_list_is_fine() {
+        assert!(fan_out(Vec::<Job>::new(), 4).is_empty());
+        assert!(fan_out(Vec::<Job>::new(), 1).is_empty());
+    }
+
+    #[test]
+    fn results_come_back_in_job_order() {
+        for width in [1usize, 2, 3, 8, 64] {
+            let jobs: Vec<_> = (0..17u64)
+                .map(|i| {
+                    move || {
+                        // Stagger finish times so out-of-order arrival
+                        // actually happens at widths above one.
+                        std::thread::sleep(std::time::Duration::from_millis((17 - i) % 5));
+                        i * i
+                    }
+                })
+                .collect();
+            assert_eq!(
+                values(fan_out(jobs, width)),
+                (0..17u64).map(|i| i * i).collect::<Vec<_>>(),
+                "width {width}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_workers_than_jobs() {
+        let jobs: Vec<_> = (0..3u32).map(|i| move || i + 100).collect();
+        assert_eq!(values(fan_out(jobs, 32)), vec![100, 101, 102]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 2 exploded")]
+    fn worker_panics_propagate() {
+        values(fan_out(one_bad_job(), 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "inline panic")]
+    fn inline_panics_propagate_too() {
+        let jobs: Vec<Job> = vec![Box::new(|| panic!("inline panic"))];
+        values(fan_out(jobs, 1));
+    }
+
+    #[test]
+    fn a_panic_leaves_every_other_outcome_in_place() {
+        for width in [1usize, 2, 4] {
+            let mut outcomes = fan_out(one_bad_job(), width);
+            let bad = outcomes.remove(2).expect_err("job 2 panics");
+            assert_eq!(panic_message(bad.as_ref()), "cell 2 exploded");
+            assert_eq!(values(outcomes), vec![0, 1, 3], "width {width}");
+        }
     }
 }

@@ -48,7 +48,7 @@ pub use exec::{
     CancelReason, CancelToken, Cancelled, ExecContext, ExecTrace, OpCounters, OpKind, OpRecord,
 };
 pub use explain::{render_chain_plan, render_estimate, render_trace};
-pub use join::parallel::{run_join_parallel, MorselPanic, ParallelRun};
+pub use join::parallel::{fan_out, run_join_parallel, MorselPanic, ParallelRun};
 pub use join::{
     hash_table_bytes, run_chain, run_join, run_join_with, ChainReport, JoinContext, JoinOptions,
     JoinReport,

@@ -6,10 +6,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 use tq_server::proto::{read_frame, serve_frames, write_frame, Request, Response, SHARD_SELF};
-use tq_server::{DuplexStream, Server, ServerConfig};
+use tq_server::{Channel, ConnectionFront, DuplexStream, Server, ServerConfig};
 use tq_workload::{partition_database, Database};
 
 use crate::merge;
@@ -91,7 +90,7 @@ struct RouterInner {
 pub struct Router {
     inner: Arc<RouterInner>,
     shards: Vec<Arc<Server>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    front: ConnectionFront,
 }
 
 impl Router {
@@ -133,17 +132,20 @@ impl Router {
     /// `ShardUnavailable` per request rather than failing startup.
     pub fn start_with_endpoints(endpoints: Vec<ShardEndpoint>, config: RouterConfig) -> Self {
         assert!(!endpoints.is_empty(), "a router needs at least one shard");
+        let inner = Arc::new(RouterInner {
+            endpoints,
+            sessions: Mutex::new(HashMap::new()),
+            next_session: AtomicU64::new(1),
+            inflight: AtomicUsize::new(0),
+            max_inflight: config.max_inflight.max(1),
+            stats: RouterStats::default(),
+        });
+        let conn_inner = Arc::clone(&inner);
+        let front = ConnectionFront::new("tq-route", move |conn| route_conn(&conn_inner, conn));
         Self {
-            inner: Arc::new(RouterInner {
-                endpoints,
-                sessions: Mutex::new(HashMap::new()),
-                next_session: AtomicU64::new(1),
-                inflight: AtomicUsize::new(0),
-                max_inflight: config.max_inflight.max(1),
-                stats: RouterStats::default(),
-            }),
+            inner,
             shards: Vec::new(),
-            conn_threads: Mutex::new(Vec::new()),
+            front,
         }
     }
 
@@ -151,32 +153,13 @@ impl Router {
     /// [`Server::connect_in_proc`] — clients cannot tell the two
     /// apart.
     pub fn connect_in_proc(&self) -> DuplexStream {
-        let (client, router_end) = tq_server::duplex_pair();
-        let inner = Arc::clone(&self.inner);
-        let handle = std::thread::Builder::new()
-            .name("tq-route".into())
-            .spawn(move || route_conn(&inner, router_end))
-            .expect("spawn router connection handler");
-        self.conn_threads.lock().unwrap().push(handle);
-        client
+        self.front.connect_in_proc()
     }
 
     /// Serves the wire protocol on a bound TCP listener, one handler
-    /// thread per accepted connection.
+    /// thread per accepted connection, until [`shutdown`](Self::shutdown).
     pub fn listen(&self, listener: TcpListener) {
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name("tq-route-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { return };
-                    let inner = Arc::clone(&inner);
-                    let _ = std::thread::Builder::new()
-                        .name("tq-route-tcp".into())
-                        .spawn(move || route_conn(&inner, stream));
-                }
-            })
-            .expect("spawn router acceptor");
+        self.front.listen(listener);
     }
 
     /// The in-process engine shards (empty when the router was started
@@ -195,16 +178,13 @@ impl Router {
         }
     }
 
-    /// Joins the connection handlers, then shuts the in-process shards
-    /// down. Callers must drop their client streams first.
+    /// Stops accepting, joins the connection handlers, then shuts the
+    /// in-process shards down. In-process callers must drop their
+    /// client streams first.
     pub fn shutdown(self) {
-        let mut threads = self.conn_threads.lock().unwrap();
-        for handle in threads.drain(..) {
-            let _ = handle.join();
-        }
-        drop(threads);
-        // The handlers held the only other references to the inner
-        // state (and through it, the Local endpoints): once they are
+        self.front.shutdown();
+        // The front held the only other references to the inner state
+        // (and through it, the Local endpoints): once its threads are
         // joined, the shard servers can be unwrapped and drained.
         drop(self.inner);
         for shard in self.shards {
@@ -223,9 +203,6 @@ enum Link {
     Up(Box<dyn Channel>),
     Down(String),
 }
-
-trait Channel: Read + Write + Send {}
-impl<T: Read + Write + Send> Channel for T {}
 
 fn open_link(endpoint: &ShardEndpoint) -> Link {
     match endpoint {

@@ -2,7 +2,8 @@
 //! dying mid-conversation, first-committer-wins losses spanning
 //! shards, and the router's own admission edge.
 
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -484,4 +485,69 @@ fn every_kind_of_work_meets_every_outcome_through_the_router() {
     assert_eq!(router.stats().shard_unavailable, 0);
     drop(client);
     router.shutdown();
+}
+
+/// One cold `algo` join at (10, 90) on a fresh session, closed with no
+/// leaked handle: `(count, Stat)`.
+fn cold_join<S: Read + Write>(client: &mut Client<S>, algo: JoinAlgo) -> (u64, Stat) {
+    let session = client.open_session(CacheMode::Cold).unwrap();
+    let got = ok_reply(
+        client
+            .query(QuerySpec {
+                algo,
+                ..spec(session)
+            })
+            .unwrap(),
+    );
+    let (_drained, leaked, _uncommitted) = client.close_session(session).unwrap();
+    assert_eq!(leaked, 0, "{algo:?} leaked handles");
+    got
+}
+
+/// TCP end to end: a client on a socket to `Router::listen`, the
+/// router on sockets to two `Server::listen` shards. Every join
+/// answers exactly what the same shards answer through an in-process
+/// router, and shutdown hangs up a peer that is still connected.
+#[test]
+fn tcp_serving_matches_the_in_process_answer() {
+    let shards = partition_database(&base_db(), 2);
+    let servers: Vec<Server> = shards
+        .iter()
+        .map(|db| Server::start(db.clone(), ServerConfig::default()))
+        .collect();
+    let shard_addrs: Vec<_> = servers
+        .iter()
+        .map(|server| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            server.listen(listener);
+            addr
+        })
+        .collect();
+    let endpoints = shard_addrs.iter().map(|&a| ShardEndpoint::Tcp(a)).collect();
+    let router = Router::start_with_endpoints(endpoints, RouterConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    router.listen(listener);
+    let in_proc = Router::start(shards, RouterConfig::default());
+
+    let mut tcp = Client::new(TcpStream::connect(addr).unwrap());
+    let mut local = Client::new(in_proc.connect_in_proc());
+    for algo in JoinAlgo::all() {
+        let want = cold_join(&mut local, algo);
+        assert!(want.0 > 0, "{algo:?} found nothing");
+        assert_eq!(cold_join(&mut tcp, algo), want, "{algo:?} over TCP");
+    }
+
+    drop((tcp, local));
+    router.shutdown();
+    in_proc.shutdown();
+    // A peer still connected at shutdown is hung up, not waited for.
+    let mut lingering = TcpStream::connect(shard_addrs[0]).unwrap();
+    for server in servers {
+        assert_eq!(server.open_sessions(), 0);
+        assert_eq!(server.stats().queries_ok, 4);
+        server.shutdown();
+    }
+    assert_eq!(lingering.read(&mut [0u8; 1]).unwrap(), 0);
 }

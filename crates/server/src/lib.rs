@@ -40,4 +40,4 @@ pub use proto::{
 pub use sched::{Overloaded, Scheduler};
 pub use server::{Server, ServerConfig, ServerStatsSnapshot};
 pub use session::{CloseReport, CommitConflict, CommitOutcome, SessionError, SessionManager};
-pub use transport::{duplex_pair, DuplexStream};
+pub use transport::{duplex_pair, Channel, ConnectionFront, DuplexStream};

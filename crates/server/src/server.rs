@@ -16,8 +16,7 @@
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Once};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Once};
 
 use tq_query::join::parallel::panic_message;
 use tq_query::{CancelToken, Cancelled};
@@ -27,7 +26,7 @@ use crate::measure::{measure, MeasureError};
 use crate::proto::{serve_frames, PartialStat, Request, Response, Work, SHARD_SELF};
 use crate::sched::Scheduler;
 use crate::session::{CommitOutcome, SessionManager};
-use crate::transport::{duplex_pair, DuplexStream};
+use crate::transport::{ConnectionFront, DuplexStream};
 
 /// Service sizing.
 #[derive(Clone, Copy, Debug)]
@@ -111,7 +110,7 @@ const NO_FAULT: usize = usize::MAX;
 /// duplex streams (same protocol, same handler).
 pub struct Server {
     inner: Arc<Inner>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    front: ConnectionFront,
 }
 
 impl Server {
@@ -134,16 +133,18 @@ impl Server {
         } else {
             config.workers
         };
-        Self {
-            inner: Arc::new(Inner {
-                sessions: SessionManager::new(base),
-                sched: Scheduler::new(workers, config.queue_depth),
-                stats: ServerStats::default(),
-                parallel,
-                fail_next: AtomicUsize::new(NO_FAULT),
-            }),
-            conn_threads: Mutex::new(Vec::new()),
-        }
+        let inner = Arc::new(Inner {
+            sessions: SessionManager::new(base),
+            sched: Scheduler::new(workers, config.queue_depth),
+            stats: ServerStats::default(),
+            parallel,
+            fail_next: AtomicUsize::new(NO_FAULT),
+        });
+        let conn_inner = Arc::clone(&inner);
+        let front = ConnectionFront::new("tq-conn", move |conn| {
+            serve_frames(conn, |req| handle_request(&conn_inner, req))
+        });
+        Self { inner, front }
     }
 
     /// Opens an in-process connection: returns the client end of a
@@ -151,33 +152,13 @@ impl Server {
     /// Deterministic and socket-free — the transport tests and the
     /// load generator use this.
     pub fn connect_in_proc(&self) -> DuplexStream {
-        let (client, server_end) = duplex_pair();
-        let inner = Arc::clone(&self.inner);
-        let handle = std::thread::Builder::new()
-            .name("tq-conn".into())
-            .spawn(move || serve_frames(server_end, |req| handle_request(&inner, req)))
-            .expect("spawn connection handler");
-        self.conn_threads.lock().unwrap().push(handle);
-        client
+        self.front.connect_in_proc()
     }
 
-    /// Serves the wire protocol on a bound TCP listener. The accept
-    /// loop runs on a detached thread for the life of the process;
-    /// each accepted connection gets its own handler thread.
+    /// Serves the wire protocol on a bound TCP listener: each accepted
+    /// connection gets its own handler thread, until [`shutdown`](Self::shutdown).
     pub fn listen(&self, listener: TcpListener) {
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name("tq-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { return };
-                    let inner = Arc::clone(&inner);
-                    let _ = std::thread::Builder::new()
-                        .name("tq-conn-tcp".into())
-                        .spawn(move || serve_frames(stream, |req| handle_request(&inner, req)));
-                }
-            })
-            .expect("spawn acceptor");
+        self.front.listen(listener);
     }
 
     /// Service counters.
@@ -222,15 +203,13 @@ impl Server {
         self.inner.fail_next.store(w, Ordering::Relaxed);
     }
 
-    /// Drains the worker pool and joins the in-process connection
-    /// handlers. Callers must drop their client streams first — a
-    /// handler blocks until its peer hangs up.
+    /// Drains the worker pool, stops accepting, hangs up TCP
+    /// connections and joins every connection handler. In-process
+    /// callers must drop their client streams first — such a handler
+    /// blocks until its peer hangs up.
     pub fn shutdown(self) {
         self.inner.sched.shutdown();
-        let mut threads = self.conn_threads.lock().unwrap();
-        for handle in threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.front.shutdown();
     }
 }
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Full verification: build, tests, lints, and a parallel smoke figure.
+# Full verification: build, tests, lints, the release-only oracles
+# and the paper-scale perf gate.
 #
-# The smoke step runs one join figure at reduced scale with two
-# workers — it exercises the worker pool, the database clone path and
-# the figure printers end to end, and fails loudly if any of them
-# regress.
+# The two-worker smoke figure is tier-1:
+# crates/bench/tests/cli.rs runs the real `tq-fig` binary with
+# TQ_JOBS=2 and checks its stdout against the registry's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,16 +37,6 @@ cargo test --release -q -p tq-bench --test parallel_matches_serial -- --ignored
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== smoke figure (TQ_SCALE=200, TQ_JOBS=2) =="
-# Planner agreement across --planner policies, the exit-2 contract for
-# bad flags and knobs and the loadgen serve smokes are tier-1 tests
-# (crates/bench/tests/figures_golden.rs, cli.rs and serve_smoke.rs).
-SMOKE_T0=$(date +%s%N)
-TQ_SCALE=200 TQ_JOBS=2 \
-    cargo run --release -p tq-bench --bin tq-fig -- fig11_14_joins --db db2 --org class
-SMOKE_T1=$(date +%s%N)
-echo "smoke figure wall clock: $(( (SMOKE_T1 - SMOKE_T0) / 1000000 )) ms"
 
 echo "== sharded differential oracle (release) =="
 # Sharded results byte-identical to the unsharded engine for every

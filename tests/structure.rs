@@ -71,12 +71,19 @@ fn violations_where(dirs: &[&str], except: &[&str], keep: impl Fn(&str) -> bool)
         .collect()
 }
 
+/// `source` up to its first `#[cfg(test)]` line: the non-test code.
+fn non_test(source: &str) -> &str {
+    let cut = source
+        .find("\n#[cfg(test)]")
+        .map_or(source.len(), |i| i + 1);
+    &source[..cut]
+}
+
 /// `Stat { .. }` constructor literals before the first `#[cfg(test)]`
 /// line: not `-> Stat {` signatures, not `OperatorStat {` and the like.
 fn stat_literals(source: &str) -> usize {
-    source
+    non_test(source)
         .lines()
-        .take_while(|line| !line.starts_with("#[cfg(test)]"))
         .filter(|line| {
             line.contains("Stat {")
                 && !line.contains("-> Stat {")
@@ -124,6 +131,17 @@ const ENV_WRITE: &[&str] = &["env::set_var", "env::remove_var"];
 /// A child-keyed join table is one flat rid multimap — a directory
 /// over one key arena; a map of per-rid `Vec`s allocates once per rid.
 const MAP_OF_VECS: &[&str] = &["HashMap<Rid, Vec<"];
+
+/// Threads have three owners: the scoped fan-out (figure cells, morsel
+/// spans, closed-loop load clients), the connection front (one handler
+/// per connection, joined at shutdown) and the server's admission
+/// queue. A thread started anywhere else is a fourth pool.
+const THREAD_START: &[&str] = &["thread::scope", "thread::spawn", "thread::Builder"];
+const THREAD_OWNERS: &[&str] = &[
+    "crates/core/src/join/parallel.rs",
+    "crates/server/src/transport.rs",
+    "crates/server/src/sched.rs",
+];
 
 /// How a query runs is a value it carries (its store's batch size, a
 /// degree argument, its cancel token's fault), never a `static` atomic
@@ -204,6 +222,30 @@ fn no_process_global_configuration() {
 }
 
 #[test]
+fn every_thread_has_one_owner() {
+    let starts = |file: &str| -> Vec<String> {
+        let source = read(file);
+        matching_lines(non_test(&source), THREAD_START)
+            .into_iter()
+            .map(|(n, line)| format!("{file}:{n}: {}", line.trim()))
+            .collect()
+    };
+    let found: Vec<String> = files_under("crates")
+        .iter()
+        .filter(|file| file.contains("/src/") && !THREAD_OWNERS.contains(&file.as_str()))
+        .flat_map(|file| starts(file))
+        .collect();
+    assert!(
+        found.is_empty(),
+        "threads started outside the fan-out, the connection front and the scheduler:\n{found:#?}"
+    );
+    // The walker does reach the owners: only the exception hides them.
+    for owner in THREAD_OWNERS {
+        assert!(!starts(owner).is_empty(), "{owner} starts no thread");
+    }
+}
+
+#[test]
 fn every_gate_fires_on_a_planted_violation() {
     let planted = "fn a() {}\n\
                    let h = store.fetch(rid)?;\n\
@@ -212,7 +254,8 @@ fn every_gate_fires_on_a_planted_violation() {
                    out.extend(&n.to_le_bytes());\n\
                    std::env::set_var(knob, value);\n\
                    pub static BATCH: AtomicUsize = AtomicUsize::new(1);\n\
-                   let mut slots: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();\n";
+                   let mut slots: FxHashMap<Rid, Vec<i64>> = FxHashMap::default();\n\
+                   let h = std::thread::Builder::new().spawn(work);\n";
     assert_eq!(matching_lines(planted, RAW_PIN)[0].0, 2);
     assert_eq!(matching_lines(planted, BATCH_FORK)[0].0, 3);
     assert_eq!(matching_lines(planted, PER_KIND_STAGE)[0].0, 4);
@@ -220,6 +263,10 @@ fn every_gate_fires_on_a_planted_violation() {
     assert_eq!(matching_lines(planted, ENV_WRITE)[0].0, 6);
     assert_eq!(lines_where(planted, static_atomic)[0].0, 7);
     assert_eq!(matching_lines(planted, MAP_OF_VECS)[0].0, 8);
+    assert_eq!(matching_lines(non_test(planted), THREAD_START)[0].0, 9);
+    let test_spawn = "fn a() {}\n#[cfg(test)]\nmod tests {\n    std::thread::spawn(f);\n}\n";
+    assert_eq!(matching_lines(test_spawn, THREAD_START)[0].0, 4);
+    assert!(matching_lines(non_test(test_spawn), THREAD_START).is_empty());
     assert!(lines_where(
         "flag: Arc<AtomicBool>,\nstatic HOOK: Once = Once::new();\n",
         static_atomic

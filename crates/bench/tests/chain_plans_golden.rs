@@ -5,6 +5,9 @@
 //! three selectivity cells. `benchmark/expected/fig_chains.fp` pins
 //! only the estimator's pick; this pins the plans it passes over too,
 //! so the executor's host-side layout can change under a fixed answer.
+//! Every plan also runs without collecting, the path production
+//! callers take, and must report and measure the same but for the
+//! rows.
 
 mod golden;
 
@@ -55,13 +58,22 @@ fn every_chain_plan_matches_the_frozen_fingerprints() {
                 index_of(class, attr).map(|i| i.clustered)
             });
             for plan in enumerate_plans(&spec, &facts.has_index()) {
-                let (report, _) = db.measure_cold(|db| {
+                let name = format!("d{depth} ({pat}, {prov}) {}", plan.describe(&spec));
+                // The count-only path every production caller runs, on
+                // a clone taken before the collecting run: the same
+                // report but for the rows, and the same measured window.
+                let mut counted = db.clone();
+                let (mut report, secs) = db.measure_cold(|db| {
                     run_chain(&mut db.store, &spec, &plan, &indexes, true, None)
                 });
-                cells.push((
-                    format!("d{depth} ({pat}, {prov}) {}", plan.describe(&spec)),
-                    format!("{report:?}"),
-                ));
+                cells.push((name.clone(), format!("{report:?}")));
+                let window = (secs, db.store.stats());
+                let (count, count_secs) = counted.measure_cold(|db| {
+                    run_chain(&mut db.store, &spec, &plan, &indexes, false, None)
+                });
+                report.rows = None;
+                assert_eq!(format!("{count:?}"), format!("{report:?}"), "{name}");
+                assert_eq!((count_secs, counted.store.stats()), window, "{name}");
             }
         }
     }

@@ -15,10 +15,11 @@
 //!   leaves the table's pages in its thread's malloc arena, where the
 //!   coordinator's free cannot return them to the coordinator's.
 //!
-//! What a worker allocates *and frees itself* does grow with the cell:
-//! its store clone's handle table holds every object it fetched. So
-//! the degree-2 gate counts the bytes that escape: allocated on a
-//! worker, freed on the coordinator.
+//! What a worker allocates *and frees itself* does grow with the cell.
+//! So the degree-2 gate counts the bytes that escape — allocated on a
+//! worker, freed on the coordinator — and bounds the workers' own
+//! bytes loosely: enough to catch a handle table grown on the worker,
+//! which each store clone has reserved on the coordinator.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! running beside this one would allocate inside its window. Counts are
@@ -209,5 +210,13 @@ fn chj_allocations_do_not_grow_with_the_table() {
         large.escaped_bytes <= small.escaped_bytes + (8 << 10),
         "degree 2: worker-allocated bytes reaching the coordinator grow with the table: \
          {small:?} / {large:?}"
+    );
+    // 443 964 and 1 201 344 bytes, with each store clone's handle
+    // table reserved on the coordinator; grown on the worker instead,
+    // by doubling up to the delayed-free pool's 4 096 handles, they
+    // are 592 404 and 2 544 888.
+    assert!(
+        large.worker_bytes <= 1_500_000,
+        "degree 2: the workers grow their own handle tables: {small:?} / {large:?}"
     );
 }

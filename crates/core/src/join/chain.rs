@@ -1,17 +1,23 @@
 //! N-way chain executor: runs a [`LogicalPlan`] over a [`ChainSpec`]
 //! by composing the same physical operators the 2-way joins use.
 //!
-//! The executor materializes the bound-row frontier between stages:
-//! each row carries the rids of the steps bound so far plus the
-//! projection slots already filled, stored flat (one strided `Vec` of
-//! rids and one of projection values per stage, see `Frontier`).
-//! Navigation stages re-fetch the frontier object through its rid
-//! (the physically honest cost of a materialized pipeline) and walk
-//! the edge attribute; hash stages
+//! The executor materializes the bound-row frontier between stages,
+//! stored flat (see `Frontier`), and keeps only live state in it: a
+//! row carries the rids of the bound steps that a later stage still
+//! reads as `from` (computed once per plan by `live_steps`), plus the
+//! projection values filled so far only when the caller collects rows.
+//! The last stage's frontier has no live step, so a counting run's
+//! last stage counts its rows instead of storing them — host memory
+//! follows the widest intermediate frontier, not results × chain
+//! width. Navigation stages re-fetch the frontier object through its
+//! rid (the physically honest cost of a materialized pipeline) and
+//! walk the edge attribute; hash stages
 //! scan the new step's extent, build or probe an rid-keyed table
 //! ([`SwapSim`]-paged like PHJ), and extend matching rows. Predicates
 //! beyond an index-served primary are evaluated at fetch, charged
-//! inside the enclosing operator scope.
+//! inside the enclosing operator scope. Projected attributes are
+//! charged where their step binds whether or not they are stored, so
+//! collecting or counting runs charge alike.
 //!
 //! The trace rows this produces are exactly
 //! [`chain_pipeline`](crate::plan::chain_pipeline)'s `(OpKind, label)`
@@ -57,93 +63,96 @@ pub struct ChainReport {
 /// Marks the end of a hash-table row chain.
 const NO_ROW: u32 = u32::MAX;
 
-/// The bound-row frontier, flat: row `i` owns `rids[i * width..][..width]`
-/// (the rids of the bound steps, indexed by step; only bound slots are
-/// meaningful) and `proj[i * proj_len..][..proj_len]` (the projection
-/// values filled so far). A stage costs two allocations, not two per
-/// row. Host-side only: the simulated clock never sees its layout.
+/// The bound-row frontier between two stages, flat: row `i` owns
+/// `rids[i * steps.len()..][..steps.len()]` (the rids bound at `steps`)
+/// and `proj[i * proj_len..][..proj_len]` (the projection values filled
+/// so far). `steps` are the frontier's live steps (`live_steps`), and
+/// `proj_len` is 0 unless the run collects, so a frontier with neither
+/// is a bare row count that allocates nothing. A stage costs two
+/// allocations, not two per row. Host-side only: the simulated clock
+/// never sees its layout.
 struct Frontier {
-    width: usize,
+    steps: Vec<usize>,
     proj_len: usize,
+    len: usize,
     rids: Vec<Rid>,
     proj: Vec<i64>,
 }
 
 impl Frontier {
-    fn new(width: usize, proj_len: usize) -> Self {
+    fn new(steps: &[usize], proj_len: usize) -> Self {
         Self {
-            width,
+            steps: steps.to_vec(),
             proj_len,
+            len: 0,
             rids: Vec::new(),
             proj: Vec::new(),
         }
     }
 
-    /// An empty frontier of the same shape.
-    fn empty_like(&self) -> Self {
-        Self::new(self.width, self.proj_len)
-    }
-
     fn len(&self) -> usize {
-        self.rids.len() / self.width
+        self.len
     }
 
-    /// The rid row `row` bound at `step`.
+    /// The rid row `row` bound at `step`, one of the live steps.
     fn rid(&self, row: usize, step: usize) -> Rid {
-        self.rids[row * self.width + step]
+        let col = self.steps.iter().position(|&s| s == step);
+        self.rids[row * self.steps.len() + col.expect("a stage reads only live steps")]
     }
 
     fn proj(&self, row: usize) -> &[i64] {
         &self.proj[row * self.proj_len..][..self.proj_len]
     }
 
-    /// Appends a root row: every rid slot starts as `rid` (stages
-    /// overwrite their own step's slot as they bind), projections 0.
-    /// Returns the new row's projection slots.
+    /// Appends a root row bound to `rid` (the root frontier's only
+    /// possible live step is the root), projections 0. Returns the new
+    /// row's projection slots.
     fn push_root(&mut self, rid: Rid) -> &mut [i64] {
-        self.rids.extend(std::iter::repeat_n(rid, self.width));
+        self.rids.extend(self.steps.iter().map(|_| rid));
+        self.len += 1;
         let at = self.proj.len();
         self.proj.resize(at + self.proj_len, 0);
         &mut self.proj[at..]
     }
 
-    /// Appends a copy of `src`'s row `row` with `step` bound to `rid`.
-    /// Returns the new row's projection slots.
+    /// Appends `src`'s row `row` extended with `step` bound to `rid`,
+    /// keeping this frontier's live steps. Returns the new row's
+    /// projection slots.
     fn push_extended(&mut self, src: &Frontier, row: usize, step: usize, rid: Rid) -> &mut [i64] {
-        let at = self.rids.len();
-        self.rids
-            .extend_from_slice(&src.rids[row * self.width..][..self.width]);
-        self.rids[at + step] = rid;
+        for &s in &self.steps {
+            self.rids
+                .push(if s == step { rid } else { src.rid(row, s) });
+        }
+        self.len += 1;
         let at = self.proj.len();
-        self.proj
-            .extend_from_slice(&src.proj[row * self.proj_len..][..self.proj_len]);
+        self.proj.extend_from_slice(src.proj(row));
         &mut self.proj[at..]
     }
+}
 
-    /// Moves row `row` down to position `kept` (`kept <= row`) with
-    /// `step` bound to `rid` — in-place compaction for the stages that
-    /// bind at most one new object per row; [`Frontier::truncate`]
-    /// then drops the rows that were not kept. Returns the kept row's
-    /// projection slots.
-    fn keep_extended(&mut self, row: usize, kept: usize, step: usize, rid: Rid) -> &mut [i64] {
-        let (w, p) = (self.width, self.proj_len);
-        self.rids.copy_within(row * w..(row + 1) * w, kept * w);
-        self.rids[kept * w + step] = rid;
-        self.proj.copy_within(row * p..(row + 1) * p, kept * p);
-        &mut self.proj[kept * p..(kept + 1) * p]
-    }
-
-    /// Keeps the first `rows` rows.
-    fn truncate(&mut self, rows: usize) {
-        self.rids.truncate(rows * self.width);
-        self.proj.truncate(rows * self.proj_len);
-    }
+/// The live steps of every frontier `plan` runs through, in bind
+/// order: entry `k` is the frontier stage `k` reads (entry 0 the
+/// root's), and holds the steps bound so far that stage `k` or a later
+/// one reads as `from`. The last entry, the result's frontier, is
+/// empty.
+fn live_steps(plan: &LogicalPlan) -> Vec<Vec<usize>> {
+    let order = plan.order();
+    (0..order.len())
+        .map(|k| {
+            let later = &plan.stages[k..];
+            (order[..=k].iter().copied())
+                .filter(|&b| later.iter().any(|s| s.from == b))
+                .collect()
+        })
+        .collect()
 }
 
 /// Runs `plan` over `spec`. `indexes[step]`, when present, is an index
 /// on that step's primary predicate attribute (required by every
 /// `RootAccess::Index` the plan uses). `collect` gathers the projected
-/// tuples into [`ChainReport::rows`].
+/// tuples into [`ChainReport::rows`]; without it the last stage only
+/// counts. Either way the simulated counters, trace and report fields
+/// other than `rows` are the same.
 pub fn run_chain(
     store: &mut ObjectStore,
     spec: &ChainSpec,
@@ -167,10 +176,14 @@ pub fn run_chain(
         ex.set_cancel(token);
     }
 
-    let mut rows = bind_root(&mut ex, spec, plan, indexes, &classes, &mut report);
-    for stage in &plan.stages {
+    let live = live_steps(plan);
+    let proj_len = if collect { spec.projection.len() } else { 0 };
+    let root = Frontier::new(&live[0], proj_len);
+    let mut rows = bind_root(&mut ex, spec, plan, indexes, &classes, root, &mut report);
+    for (stage, live) in plan.stages.iter().zip(&live[1..]) {
         let edge = spec.edge_between(stage.from, stage.step);
         let child_ward = edge.child == stage.step;
+        let out = Frontier::new(live, proj_len);
         rows = match stage.algo {
             StepAlgo::Nav if child_ward => nav_set(
                 &mut ex,
@@ -179,7 +192,8 @@ pub fn run_chain(
                 stage.step,
                 edge.set_attr.expect("planner checked set attribute"),
                 &classes,
-                rows,
+                &rows,
+                out,
                 &mut report,
             ),
             StepAlgo::Nav => nav_back_ref(
@@ -189,7 +203,8 @@ pub fn run_chain(
                 stage.step,
                 edge.ref_attr.expect("planner checked back reference"),
                 &classes,
-                rows,
+                &rows,
+                out,
                 &mut report,
             ),
             StepAlgo::Hash if child_ward => hash_children(
@@ -201,7 +216,8 @@ pub fn run_chain(
                 edge.ref_attr.expect("planner checked back reference"),
                 indexes[stage.step].as_ref(),
                 &classes,
-                rows,
+                &rows,
+                out,
                 &mut report,
             ),
             StepAlgo::Hash => hash_parents(
@@ -213,7 +229,8 @@ pub fn run_chain(
                 edge.ref_attr.expect("planner checked back reference"),
                 indexes[stage.step].as_ref(),
                 &classes,
-                rows,
+                &rows,
+                out,
                 &mut report,
             ),
         };
@@ -251,7 +268,9 @@ fn preds_pass(
     true
 }
 
-/// Fills the projection slots owned by `step` from its pinned object.
+/// Charges the gets of the projection slots owned by `step` and, when
+/// the run collects (`proj` is not empty), fills them from its pinned
+/// object.
 fn fill_proj(
     ex: &mut ExecContext<'_>,
     spec: &ChainSpec,
@@ -263,7 +282,9 @@ fn fill_proj(
     for (slot, &(s, attr)) in spec.projection.iter().enumerate() {
         if s == step {
             ex.store.charge_attr_access(class, attr);
-            proj[slot] = int_attr(obj, attr);
+            if let Some(v) = proj.get_mut(slot) {
+                *v = int_attr(obj, attr);
+            }
         }
     }
 }
@@ -317,15 +338,16 @@ fn gather_candidates(
     }
 }
 
-/// Binds the root step: candidate gather plus the fetch/filter pass,
-/// all inside the access operator's scope (mirroring the selection
-/// scans).
+/// Binds the root step into `rows`: candidate gather plus the
+/// fetch/filter pass, all inside the access operator's scope
+/// (mirroring the selection scans).
 fn bind_root(
     ex: &mut ExecContext<'_>,
     spec: &ChainSpec,
     plan: &LogicalPlan,
     indexes: &[Option<BTreeIndex>],
     classes: &[ClassId],
+    mut rows: Frontier,
     report: &mut ChainReport,
 ) -> Frontier {
     let step = plan.root;
@@ -341,7 +363,6 @@ fn bind_root(
     // Re-entering the same (kind, label) scope merges with the gather
     // node, so the trace shows one row per pipeline stage.
     ex.op(kind, &label, |ex| {
-        let mut rows = Frontier::new(spec.len(), spec.projection.len());
         for rid in candidates {
             ex.with_object(rid, |ex, obj| {
                 report.scanned[step] += 1;
@@ -360,7 +381,7 @@ fn bind_root(
 }
 
 /// Parent→child navigation: re-fetch each frontier parent, walk its
-/// set attribute, fetch and filter members.
+/// set attribute, fetch and filter members into `out`.
 #[allow(clippy::too_many_arguments)]
 fn nav_set(
     ex: &mut ExecContext<'_>,
@@ -369,14 +390,14 @@ fn nav_set(
     step: usize,
     set_attr: usize,
     classes: &[ClassId],
-    rows: Frontier,
+    rows: &Frontier,
+    mut out: Frontier,
     report: &mut ChainReport,
 ) -> Frontier {
     let s = &spec.steps[step];
     let label = s.label();
     let (from_class, class) = (classes[from], classes[step]);
     ex.op(OpKind::SetNav, &label, |ex| {
-        let mut out = rows.empty_like();
         for row in 0..rows.len() {
             ex.with_object(rows.rid(row, from), |ex, parent| {
                 if parent.is_deleted() {
@@ -393,7 +414,7 @@ fn nav_set(
                         if !preds_pass(ex, class, child, s, 0) {
                             return;
                         }
-                        let proj = out.push_extended(&rows, row, step, child.rid());
+                        let proj = out.push_extended(rows, row, step, child.rid());
                         fill_proj(ex, spec, class, step, child, proj);
                     });
                 }
@@ -404,7 +425,7 @@ fn nav_set(
 }
 
 /// Child→parent navigation: re-fetch each frontier child, follow its
-/// back reference, fetch and filter the parent.
+/// back reference, fetch and filter the parent into `out`.
 #[allow(clippy::too_many_arguments)]
 fn nav_back_ref(
     ex: &mut ExecContext<'_>,
@@ -413,14 +434,14 @@ fn nav_back_ref(
     step: usize,
     ref_attr: usize,
     classes: &[ClassId],
-    mut rows: Frontier,
+    rows: &Frontier,
+    mut out: Frontier,
     report: &mut ChainReport,
 ) -> Frontier {
     let s = &spec.steps[step];
     let label = s.label();
     let (from_class, class) = (classes[from], classes[step]);
     ex.op(OpKind::BackRefNav, &label, |ex| {
-        let mut kept = 0;
         for row in 0..rows.len() {
             let prid = ex.with_object(rows.rid(row, from), |ex, child| {
                 if child.is_deleted() {
@@ -438,18 +459,17 @@ fn nav_back_ref(
                 if !preds_pass(ex, class, parent, s, 0) {
                     return;
                 }
-                let proj = rows.keep_extended(row, kept, step, parent.rid());
+                let proj = out.push_extended(rows, row, step, parent.rid());
                 fill_proj(ex, spec, class, step, parent, proj);
-                kept += 1;
             });
         }
-        rows.truncate(kept);
-        rows
+        out
     })
 }
 
 /// Hash stage, new step on the child side: build a table over the
-/// bound parent rids, scan the child extent, probe by back reference.
+/// bound parent rids, scan the child extent, probe by back reference,
+/// extending the matches into `out`.
 #[allow(clippy::too_many_arguments)]
 fn hash_children(
     ex: &mut ExecContext<'_>,
@@ -460,7 +480,8 @@ fn hash_children(
     ref_attr: usize,
     index: Option<&BTreeIndex>,
     classes: &[ClassId],
-    rows: Frontier,
+    rows: &Frontier,
+    mut out: Frontier,
     report: &mut ChainReport,
 ) -> Frontier {
     let s = &spec.steps[step];
@@ -495,8 +516,7 @@ fn hash_children(
         .max(table.len() as u64 * CHAIN_ENTRY_BYTES);
 
     let (candidates, enforced) = gather_candidates(ex, spec, step, access, index);
-    let out = ex.op(OpKind::HashProbe, &s.label(), |ex| {
-        let mut out = rows.empty_like();
+    ex.op(OpKind::HashProbe, &s.label(), |ex| {
         for crid in candidates {
             ex.with_object(crid, |ex, child| {
                 report.scanned[step] += 1;
@@ -517,22 +537,22 @@ fn hash_children(
                 if let Some(&(first, _)) = table.get(&prid) {
                     let mut row = first;
                     while row != NO_ROW {
-                        let proj = out.push_extended(&rows, row as usize, step, child.rid());
+                        let proj = out.push_extended(rows, row as usize, step, child.rid());
                         fill_proj(ex, spec, class, step, child, proj);
                         row = next[row as usize];
                     }
                 }
             });
         }
-        out
     });
     report.swap_faults += swap.faults();
     out
 }
 
 /// Hash stage, new step on the parent side: scan and filter the parent
-/// extent into a table keyed by rid (carrying its projection values),
-/// then probe with each bound child's back reference.
+/// extent into a table keyed by rid (carrying its projection values
+/// when the run collects), then probe with each bound child's back
+/// reference, extending the matches into `out`.
 #[allow(clippy::too_many_arguments)]
 fn hash_parents(
     ex: &mut ExecContext<'_>,
@@ -543,7 +563,8 @@ fn hash_parents(
     ref_attr: usize,
     index: Option<&BTreeIndex>,
     classes: &[ClassId],
-    mut rows: Frontier,
+    rows: &Frontier,
+    mut out: Frontier,
     report: &mut ChainReport,
 ) -> Frontier {
     let s = &spec.steps[step];
@@ -553,7 +574,8 @@ fn hash_parents(
     let (candidates, enforced) = gather_candidates(ex, spec, step, access, index);
     // Qualifying parents, carrying the values of the projection slots
     // `step` owns: the table maps a parent to the offset of its
-    // `owned.len()` values in `vals`.
+    // `owned.len()` values in `vals` (empty unless the run collects;
+    // the gets are charged either way).
     let owned: Vec<usize> = spec
         .projection
         .iter()
@@ -577,7 +599,9 @@ fn hash_parents(
                 for &slot in &owned {
                     let attr = spec.projection[slot].1;
                     ex.store.charge_attr_access(class, attr);
-                    vals.push(int_attr(parent, attr));
+                    if out.proj_len > 0 {
+                        vals.push(int_attr(parent, attr));
+                    }
                 }
                 table.insert(parent.rid(), at);
                 ex.store.charge(CpuEvent::HashInsert, 1);
@@ -593,7 +617,6 @@ fn hash_parents(
         .max(table.len() as u64 * CHAIN_ENTRY_BYTES);
 
     ex.op(OpKind::HashProbe, &spec.steps[from].label(), |ex| {
-        let mut kept = 0;
         for row in 0..rows.len() {
             let prid = ex.with_object(rows.rid(row, from), |ex, child| {
                 if child.is_deleted() {
@@ -608,15 +631,13 @@ fn hash_parents(
                 ex.store.charge(CpuEvent::SwapFault, 1);
             }
             if let Some(&at) = table.get(&prid) {
-                let proj = rows.keep_extended(row, kept, step, prid);
+                let proj = out.push_extended(rows, row, step, prid);
                 for (&slot, &v) in owned.iter().zip(&vals[at as usize..]) {
                     proj[slot] = v;
                 }
-                kept += 1;
             }
         }
         report.swap_faults += swap.faults();
-        rows.truncate(kept);
-        rows
+        out
     })
 }

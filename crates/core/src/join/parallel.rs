@@ -176,14 +176,15 @@ impl Morsels {
     /// At degree > 1: one [`fan_out`] job per [`morsel_spans`] span, each
     /// on a private clone of `ex`'s store with a fresh partial report
     /// and its own state, made here on the coordinator before the
-    /// worker starts (no span, no state). Every worker is joined before
-    /// returning; their counts and pairs fold into `report` and their
-    /// traces into `ex` in morsel order. A worker that unwinds with
-    /// [`Cancelled`] trips the shared token (stopping siblings at their
-    /// next boundary) and is re-raised after the join; any other panic
-    /// is captured as a typed [`MorselPanic`] (first worker in morsel
-    /// order wins; a concurrent `Cancelled` loses to it — a real defect
-    /// outranks a timeout).
+    /// worker starts (no span, no state); so is the clone's handle
+    /// table ([`reserve_handles`](tq_objstore::ObjectStore::reserve_handles)).
+    /// Every worker is joined before returning; their counts and pairs
+    /// fold into `report` and their traces into `ex` in morsel order. A
+    /// worker that unwinds with [`Cancelled`] trips the shared token
+    /// (stopping siblings at their next boundary) and is re-raised after
+    /// the join; any other panic is captured as a typed [`MorselPanic`]
+    /// (first worker in morsel order wins; a concurrent `Cancelled`
+    /// loses to it — a real defect outranks a timeout).
     pub(super) fn run<S, F>(
         &mut self,
         ex: &mut ExecContext<'_>,
@@ -215,6 +216,7 @@ impl Morsels {
             .enumerate()
             .map(|(w, &(lo, hi))| {
                 let mut store = ex.store.clone();
+                store.reserve_handles();
                 let token = self.cancel.clone();
                 let mut state = state(lo..hi);
                 move || {

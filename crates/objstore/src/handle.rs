@@ -218,6 +218,18 @@ impl HandleTable {
         }
     }
 
+    /// Makes room for a full delayed-free pool plus `pins` pinned
+    /// handles, so a table filled up to that never grows.
+    pub fn reserve(&mut self, pins: usize) {
+        let handles = self.zombie_capacity + pins;
+        self.slab.reserve(handles.saturating_sub(self.slab.len()));
+        // A full pool churns (each new handle evicts the oldest), which
+        // leaves tombstones in the map; at most half full, it clears
+        // them in place instead of doubling.
+        self.map
+            .reserve((2 * handles).saturating_sub(self.map.len()));
+    }
+
     /// Pins `rid`, reporting how the handle was obtained.
     pub fn get(&mut self, rid: Rid) -> GetOutcome {
         let at = match self.map.entry(rid) {
@@ -514,6 +526,24 @@ mod tests {
         assert_eq!(c.map.capacity(), 0);
         assert_eq!(c.slab.capacity(), 0);
         assert_eq!(c.stats(), t.stats());
+    }
+
+    #[test]
+    fn a_reserved_table_fills_its_pool_without_growing() {
+        let mut t = HandleTable::new(64);
+        t.reserve(8);
+        let (map, slab) = (t.map.capacity(), t.slab.capacity());
+        // Seven pins held beside a full pool, and an eighth by a scan
+        // that evicts from the pool on every object.
+        for i in 0..7 {
+            t.get(rid(i));
+        }
+        for i in 7..10_000 {
+            t.get(rid(i));
+            t.unref(rid(i));
+        }
+        assert_eq!((t.live_count(), t.zombie_count()), (7, 64));
+        assert_eq!((t.map.capacity(), t.slab.capacity()), (map, slab));
     }
 
     #[test]

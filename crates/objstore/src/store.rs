@@ -725,6 +725,14 @@ impl ObjectStore {
         self.handles.stats()
     }
 
+    /// Sizes the handle table for one query: a full delayed-free pool
+    /// plus one batch of pinned objects. A store clone starts with an
+    /// empty table; reserving it where the clone is made keeps the
+    /// thread that runs the query from growing it by doubling.
+    pub fn reserve_handles(&mut self) {
+        self.handles.reserve(self.batch_size);
+    }
+
     /// Handles currently pinned (live, not in the delayed-free pool).
     /// Zero between queries unless an operator leaked a guard.
     pub fn live_handles(&self) -> usize {

@@ -59,15 +59,15 @@ fn every_chain_plan_matches_the_frozen_fingerprints() {
             });
             for plan in enumerate_plans(&spec, &facts.has_index()) {
                 let name = format!("d{depth} ({pat}, {prov}) {}", plan.describe(&spec));
-                // The count-only path every production caller runs, on
-                // a clone taken before the collecting run: the same
-                // report but for the rows, and the same measured window.
-                let mut counted = db.clone();
                 let (mut report, secs) = db.measure_cold(|db| {
                     run_chain(&mut db.store, &spec, &plan, &indexes, true, None)
                 });
                 cells.push((name.clone(), format!("{report:?}")));
                 let window = (secs, db.store.stats());
+                // The count-only path every production caller runs, on
+                // a clone of its own: the same report but for the rows,
+                // and the same measured window.
+                let mut counted = db.clone();
                 let (count, count_secs) = counted.measure_cold(|db| {
                     run_chain(&mut db.store, &spec, &plan, &indexes, false, None)
                 });

@@ -97,9 +97,14 @@ pub(super) fn run(
     let n = children.len();
     let new_table = |span: Range<usize>| {
         let keys = if span.start == 0 { n } else { span.len() };
+        let slots = keys.min(parent_count);
+        // The swap state is sized here too, for the most the span can
+        // file, so a worker filling the table never grows it.
+        let mut swap = SwapSim::new(0, budget);
+        swap.reserve(CHJ_PARENT_SLOT_BYTES * slots as u64 + keys as u64 * child_entry_bytes(opts));
         ChildTable {
-            slots: RidMultimap::with_capacity(keys.min(parent_count), keys),
-            swap: SwapSim::new(0, budget),
+            slots: RidMultimap::with_capacity(slots, keys),
+            swap,
         }
     };
     let mut partials = morsels

@@ -312,8 +312,11 @@ impl Morsels {
 ///
 /// With `width <= 1`, or fewer than two jobs, the jobs run inline on
 /// the calling thread. Otherwise `min(width, jobs.len())` scoped
-/// threads take jobs in order from one shared queue, and every thread
-/// is joined before this returns. A panicking job never stops another
+/// threads each run their own first job (thread i job i), then take
+/// jobs in order from one shared queue, and every thread is joined
+/// before this returns. With no more jobs than `width`, job i therefore
+/// runs alone on thread i, so what each thread does (and allocates)
+/// does not depend on timing. A panicking job never stops another
 /// one: each outcome is caught where its job ran, so the caller decides
 /// what a panic means (figure cells re-raise it; morsel spans type it).
 /// Which thread ran which job never shows in the result.
@@ -326,20 +329,25 @@ where
     if width <= 1 || jobs.len() <= 1 {
         return jobs.into_iter().map(run).collect();
     }
-    let workers = width.min(jobs.len());
-    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut queue = jobs.into_iter().enumerate();
+    // Worker w starts with job w: with no more jobs than workers, that
+    // is the only job it runs.
+    let firsts: Vec<_> = queue.by_ref().take(width).collect();
+    let queue = Mutex::new(queue);
     let mut outcomes: Vec<_> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
+        let workers: Vec<_> = (firsts.into_iter())
+            .map(|first| {
+                let queue = &queue;
+                s.spawn(move || {
                     let mut done = Vec::new();
-                    loop {
+                    let mut next = Some(first);
+                    while let Some((i, job)) = next {
+                        done.push((i, run(job)));
                         // Taken in its own statement: the lock is not
                         // held while the job runs, so nothing poisons it.
-                        let next = queue.lock().expect("never held by a job").next();
-                        let Some((i, job)) = next else { break done };
-                        done.push((i, run(job)));
+                        next = queue.lock().expect("never held by a job").next();
                     }
+                    done
                 })
             })
             .collect();
@@ -516,6 +524,21 @@ mod tests {
     fn more_workers_than_jobs() {
         let jobs: Vec<_> = (0..3u32).map(|i| move || i + 100).collect();
         assert_eq!(values(fan_out(jobs, 32)), vec![100, 101, 102]);
+    }
+
+    #[test]
+    fn no_more_jobs_than_width_runs_each_job_on_its_own_thread() {
+        for width in [2usize, 3, 8] {
+            let jobs: Vec<_> = (0..width.min(3))
+                .map(|_| move || std::thread::current().id())
+                .collect();
+            let mut ids = values(fan_out(jobs, width));
+            let n = ids.len();
+            ids.sort_by_key(|id| format!("{id:?}"));
+            ids.dedup();
+            assert_eq!(ids.len(), n, "width {width}");
+            assert!(!ids.contains(&std::thread::current().id()));
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! fault, charged [`CpuEvent::SwapFault`](tq_pagestore::CpuEvent::SwapFault) (victim write-back + read) by
 //! the caller. A table within budget therefore never faults.
 
-use tq_fasthash::FxHashSet;
 use tq_pagestore::{LruCache, PAGE_SIZE};
 
 /// Swap simulator for one operator-private memory region.
@@ -21,21 +20,24 @@ use tq_pagestore::{LruCache, PAGE_SIZE};
 pub struct SwapSim {
     table_pages: u64,
     resident: LruCache<u64>,
-    ever_touched: FxHashSet<u64>,
+    /// Per region page: touched before. Sized, like `resident`'s frame
+    /// table, to the region whenever touches can fault.
+    ever_touched: Vec<bool>,
     faults: u64,
 }
 
 impl SwapSim {
     /// A region of `table_bytes` with `budget_bytes` of real memory.
     pub fn new(table_bytes: u64, budget_bytes: u64) -> Self {
-        let table_pages = table_bytes.div_ceil(PAGE_SIZE as u64).max(1);
         let budget_pages = (budget_bytes / PAGE_SIZE as u64).max(1) as usize;
-        Self {
-            table_pages,
+        let mut swap = Self {
+            table_pages: 0,
             resident: LruCache::new(budget_pages),
-            ever_touched: FxHashSet::default(),
+            ever_touched: Vec::new(),
             faults: 0,
-        }
+        };
+        swap.grow_to(table_bytes);
+        swap
     }
 
     /// True when the whole region fits in budget (no touch can fault).
@@ -49,6 +51,27 @@ impl SwapSim {
         let pages = table_bytes.div_ceil(PAGE_SIZE as u64).max(1);
         if pages > self.table_pages {
             self.table_pages = pages;
+            if !self.fits() {
+                self.size_state(pages as usize);
+            }
+        }
+    }
+
+    /// Sizes the per-page state for a region that will grow to at most
+    /// `table_bytes`, so neither `grow_to` nor `touch` allocates up to
+    /// there. Call it where the region is made when another thread
+    /// fills it (a morsel partial), so that thread never grows it.
+    pub fn reserve(&mut self, table_bytes: u64) {
+        let pages = table_bytes.div_ceil(PAGE_SIZE as u64) as usize;
+        if pages > self.resident.capacity() {
+            self.size_state(pages);
+        }
+    }
+
+    fn size_state(&mut self, pages: usize) {
+        if pages > self.ever_touched.len() {
+            self.resident.set_table_len(0, pages);
+            self.ever_touched.resize(pages, false);
         }
     }
 
@@ -62,14 +85,14 @@ impl SwapSim {
         if self.resident.touch(page) {
             return false;
         }
-        self.resident.insert(page);
-        if self.ever_touched.insert(page) {
-            // Demand allocation, not a fault.
-            false
-        } else {
+        self.resident.insert_absent(page);
+        let touched = std::mem::replace(&mut self.ever_touched[page as usize], true);
+        if touched {
             self.faults += 1;
-            true
         }
+        // A page never touched before is a demand allocation, not a
+        // fault.
+        touched
     }
 
     /// Faults so far.

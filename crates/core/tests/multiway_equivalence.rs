@@ -130,15 +130,15 @@ fn run_plan(
     plan: &tq_query::LogicalPlan,
     indexes: &[Option<BTreeIndex>],
 ) -> Vec<Vec<i64>> {
-    // The count-only path every production caller runs, on a clone
-    // taken before the collecting run: the same report but for the
-    // rows, and the same measured window.
-    let mut counted = db.clone();
     let (mut report, secs) =
         db.measure_cold(|db| run_chain(&mut db.store, spec, plan, indexes, true, None));
     let mut got = report.rows.take().expect("collected");
     assert_eq!(got.len() as u64, report.results);
     let window = (secs, db.store.stats());
+    // The count-only path every production caller runs, on a clone of
+    // its own: the same report but for the rows, and the same measured
+    // window.
+    let mut counted = db.clone();
     let (count, count_secs) =
         counted.measure_cold(|db| run_chain(&mut db.store, spec, plan, indexes, false, None));
     let name = plan.describe(spec);

@@ -1,10 +1,11 @@
 //! # tq-fasthash — a fast non-cryptographic hasher for hot maps
 //!
-//! The simulator's inner loop is hash-map-bound: every simulated page
-//! access touches two [`LruCache`] key maps, and every object fetch
-//! touches the handle table and (in the hash joins) a join table. With
-//! the standard library's default SipHash-1-3 those lookups dominate
-//! host CPU at paper scale (millions of objects per figure cell).
+//! The simulator's inner loop is hash-map-bound: every object fetch
+//! touches the handle table and (in the hash joins) a join table (the
+//! page caches find their pages by position instead, see
+//! [`LruCache`]). With the standard library's default SipHash-1-3
+//! those lookups dominate host CPU at paper scale (millions of objects
+//! per figure cell).
 //!
 //! This crate vendors the Firefox/rustc "FxHash" multiply-fold hash:
 //! for the small fixed-size keys we hash (`PageId`, `Rid` — a handful

@@ -120,12 +120,13 @@ impl List {
         self.len -= 1;
     }
 
-    fn iter(self, slab: &[Node]) -> impl Iterator<Item = Node> + '_ {
+    /// The list's slab slots, oldest first.
+    fn slots(self, slab: &[Node]) -> impl Iterator<Item = u32> + '_ {
         let mut at = self.head;
         std::iter::from_fn(move || {
-            let node = *slab.get(at as usize)?;
-            at = node.next;
-            Some(node)
+            let here = at;
+            at = slab.get(here as usize)?.next;
+            Some(here)
         })
     }
 }
@@ -150,13 +151,17 @@ fn new_node(slab: &mut Vec<Node>, free: &mut u32, rid: Rid, pins: u32) -> u32 {
 
 /// The handle table: pin-counted live handles plus a delayed-free pool.
 ///
-/// One map holds every existing handle, so a `get` or `unref` is one
-/// probe (an eviction adds one). Each handle is a slab node on exactly
-/// one of two lists — `map.len()` = `pinned.len` + `parked.len` —
-/// where `parked` is the pool, evicted in the order it was parked.
+/// One map holds every existing handle, so a `get` is one probe. Each
+/// handle is a slab node on exactly one of two lists — `map.len()` =
+/// `pinned.len` + `parked.len` — where `parked` is the pool, evicted in
+/// the order it was parked. A `get` also returns the handle's slab
+/// slot: [`HandleTable::unref_slot`] drops the pin there with no probe
+/// (only a pool eviction probes, to forget the freed rid). A pinned
+/// handle keeps its slot until its last unref, through clones and
+/// drains.
 pub struct HandleTable {
-    /// Slab index by rid. Touched on every object access — FxHash, the
-    /// same reasoning as the LRU key maps.
+    /// Slab index by rid. Touched on every object fetch — FxHash, as
+    /// the hottest hashed lookup in the simulator.
     map: FxHashMap<Rid, u32>,
     slab: Vec<Node>,
     /// Freed nodes, chained through `next`.
@@ -173,22 +178,26 @@ impl Default for HandleTable {
     }
 }
 
-/// Copies contents, not capacity: sessions, epochs and per-cell clones
-/// are taken from drained tables, whose clone allocates nothing.
+/// Copies the table node for node, so every slot a pin was handed
+/// stays valid in the clone; the map gets no more room than it holds.
+/// Sessions, epochs and per-cell clones are taken from drained tables,
+/// whose clone allocates nothing.
 impl Clone for HandleTable {
     fn clone(&self) -> Self {
-        let mut t = Self::new(self.zombie_capacity);
-        t.stats = self.stats;
-        t.map.reserve(self.map.len());
-        t.slab.reserve(self.map.len());
-        for node in self
-            .pinned
-            .iter(&self.slab)
-            .chain(self.parked.iter(&self.slab))
-        {
-            t.adopt(node.rid, node.pins);
+        let mut map = FxHashMap::default();
+        map.reserve(self.map.len());
+        for at in (self.pinned.slots(&self.slab)).chain(self.parked.slots(&self.slab)) {
+            map.insert(self.slab[at as usize].rid, at);
         }
-        t
+        Self {
+            map,
+            slab: self.slab.clone(),
+            free: self.free,
+            pinned: self.pinned,
+            parked: self.parked,
+            zombie_capacity: self.zombie_capacity,
+            stats: self.stats,
+        }
     }
 }
 
@@ -207,17 +216,6 @@ impl HandleTable {
         }
     }
 
-    /// Adds a handle the table does not hold, as the newest of its list.
-    fn adopt(&mut self, rid: Rid, pins: u32) {
-        let at = new_node(&mut self.slab, &mut self.free, rid, pins);
-        self.map.insert(rid, at);
-        if pins > 0 {
-            self.pinned.push_back(&mut self.slab, at);
-        } else {
-            self.parked.push_back(&mut self.slab, at);
-        }
-    }
-
     /// Makes room for a full delayed-free pool plus `pins` pinned
     /// handles, so a table filled up to that never grows.
     pub fn reserve(&mut self, pins: usize) {
@@ -230,8 +228,9 @@ impl HandleTable {
             .reserve((2 * handles).saturating_sub(self.map.len()));
     }
 
-    /// Pins `rid`, reporting how the handle was obtained.
-    pub fn get(&mut self, rid: Rid) -> GetOutcome {
+    /// Pins `rid`, reporting how the handle was obtained and the slot
+    /// [`HandleTable::unref_slot`] takes back.
+    pub fn get(&mut self, rid: Rid) -> (GetOutcome, u32) {
         let at = match self.map.entry(rid) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
@@ -241,19 +240,19 @@ impl HandleTable {
                 // Only an allocation adds a handle, so only it can set
                 // a new high-water mark.
                 self.stats.peak_handles = self.stats.peak_handles.max(self.map.len() as u64);
-                return GetOutcome::Allocated;
+                return (GetOutcome::Allocated, at);
             }
         };
         let node = &mut self.slab[at as usize];
         node.pins += 1;
         if node.pins > 1 {
             self.stats.touches += 1;
-            return GetOutcome::Touched;
+            return (GetOutcome::Touched, at);
         }
         self.parked.unlink(&mut self.slab, at);
         self.pinned.push_back(&mut self.slab, at);
         self.stats.revivals += 1;
-        GetOutcome::Revived
+        (GetOutcome::Revived, at)
     }
 
     /// Drops one pin. When the pin count reaches zero the handle moves
@@ -263,11 +262,26 @@ impl HandleTable {
     /// Panics on unref of a handle that was never pinned: that is a
     /// query-operator bug, not a data condition.
     pub fn unref(&mut self, rid: Rid) -> u64 {
-        self.stats.unrefs += 1;
         let at = self.map.get(&rid).copied().unwrap_or(NIL);
-        let Some(node) = self.slab.get_mut(at as usize).filter(|n| n.pins > 0) else {
-            panic!("unref of unpinned handle {rid:?}");
-        };
+        let pinned = self.slab.get(at as usize).is_some_and(|n| n.pins > 0);
+        assert!(pinned, "unref of unpinned handle {rid:?}");
+        self.unref_at(at)
+    }
+
+    /// [`HandleTable::unref`] of the handle a `get` of `rid` returned
+    /// `slot` for. Debug builds check that the slot still holds a pin
+    /// on `rid`.
+    pub(crate) fn unref_slot(&mut self, rid: Rid, slot: u32) -> u64 {
+        debug_assert!(
+            (self.slab.get(slot as usize)).is_some_and(|n| n.rid == rid && n.pins > 0),
+            "unref of {rid:?} at slot {slot}, which holds no pin on it"
+        );
+        self.unref_at(slot)
+    }
+
+    fn unref_at(&mut self, at: u32) -> u64 {
+        self.stats.unrefs += 1;
+        let node = &mut self.slab[at as usize];
         node.pins -= 1;
         if node.pins > 0 {
             return 0;
@@ -289,17 +303,32 @@ impl HandleTable {
     /// Tears down every unpinned handle (end of query / transaction).
     /// Returns the number of frees performed.
     pub fn drain_zombies(&mut self) -> u64 {
-        let n = self.parked.len as u64;
-        // Clear everything and put the pinned handles (between queries:
-        // none) back, rather than remove the pool key by key.
-        let pinned: Vec<Node> = self.pinned.iter(&self.slab).collect();
-        self.map.clear();
-        self.slab.clear();
-        (self.free, self.pinned, self.parked) = (NIL, List::EMPTY, List::EMPTY);
-        for node in pinned {
-            self.adopt(node.rid, node.pins);
-        }
+        let n = self.discard_zombies();
         self.stats.frees += n;
+        n
+    }
+
+    /// [`HandleTable::drain_zombies`] without counting the frees: a
+    /// cold restart, which the paper's server shutdown makes free.
+    pub(crate) fn discard_zombies(&mut self) -> u64 {
+        let n = self.parked.len as u64;
+        if self.pinned.len == 0 {
+            self.map.clear();
+            self.slab.clear();
+            self.free = NIL;
+        } else if n > 0 {
+            // Clear the map rather than remove the pool key by key, and
+            // put the pinned handles back at their slots.
+            self.map.clear();
+            for at in self.pinned.slots(&self.slab) {
+                self.map.insert(self.slab[at as usize].rid, at);
+            }
+            // The pool, chained through `next` already, joins the free
+            // list whole.
+            self.slab[self.parked.tail as usize].next = self.free;
+            self.free = self.parked.head;
+        }
+        self.parked = List::EMPTY;
         n
     }
 
@@ -332,6 +361,7 @@ impl HandleTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use tq_pagestore::{FileId, PageId};
 
     fn rid(n: u32) -> Rid {
@@ -347,7 +377,7 @@ mod tests {
     #[test]
     fn scan_pattern_alloc_unref_then_pool() {
         let mut t = HandleTable::new(2);
-        assert_eq!(t.get(rid(1)), GetOutcome::Allocated);
+        assert_eq!(t.get(rid(1)).0, GetOutcome::Allocated);
         assert_eq!(t.unref(rid(1)), 0, "goes to pool, no teardown yet");
         assert_eq!(t.live_count(), 0);
         assert_eq!(t.zombie_count(), 1);
@@ -362,13 +392,13 @@ mod tests {
     #[test]
     fn navigation_pattern_touches_hot_handle() {
         let mut t = HandleTable::new(8);
-        assert_eq!(t.get(rid(9)), GetOutcome::Allocated);
+        assert_eq!(t.get(rid(9)).0, GetOutcome::Allocated);
         for _ in 0..100 {
-            assert_eq!(t.get(rid(9)), GetOutcome::Touched);
+            assert_eq!(t.get(rid(9)).0, GetOutcome::Touched);
             t.unref(rid(9));
         }
         t.unref(rid(9));
-        assert_eq!(t.get(rid(9)), GetOutcome::Revived);
+        assert_eq!(t.get(rid(9)).0, GetOutcome::Revived);
         let s = t.stats();
         assert_eq!(s.allocations, 1);
         assert_eq!(s.touches, 100);
@@ -394,12 +424,22 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "holds no pin on it")]
+    fn unref_of_a_stale_slot_panics_in_debug() {
+        let mut t = HandleTable::new(4);
+        let (_, slot) = t.get(rid(1));
+        t.unref_slot(rid(1), slot);
+        t.unref_slot(rid(1), slot);
+    }
+
+    #[test]
     fn zero_capacity_pool_frees_immediately() {
         let mut t = HandleTable::new(0);
         t.get(rid(1));
         assert_eq!(t.unref(rid(1)), 1);
         assert_eq!(t.stats().frees, 1);
-        assert_eq!(t.get(rid(1)), GetOutcome::Allocated, "nothing to revive");
+        assert_eq!(t.get(rid(1)).0, GetOutcome::Allocated, "nothing to revive");
     }
 
     #[test]
@@ -419,11 +459,52 @@ mod tests {
         assert_eq!(t.stats().peak_bytes(), 600);
     }
 
+    #[test]
+    fn discarding_the_pool_counts_nothing() {
+        let mut t = HandleTable::new(16);
+        let (_, pin) = t.get(rid(0));
+        for i in 1..10 {
+            t.get(rid(i));
+            t.unref(rid(i));
+        }
+        let stats = t.stats();
+        assert_eq!(t.discard_zombies(), 9);
+        assert_eq!((t.live_count(), t.zombie_count()), (1, 0));
+        assert_eq!(t.stats(), stats);
+        assert_eq!(t.get(rid(5)).0, GetOutcome::Allocated, "nothing to revive");
+        // The pin held through the discard comes back by its slot.
+        assert_eq!(t.unref_slot(rid(0), pin), 0);
+        assert_eq!(t.get(rid(0)).0, GetOutcome::Revived);
+    }
+
+    #[test]
+    fn a_drain_with_pins_held_frees_the_pool_in_place() {
+        let mut t = HandleTable::new(DEFAULT_ZOMBIE_CAPACITY);
+        let (_, pin) = t.get(rid(u32::MAX));
+        for i in 0..DEFAULT_ZOMBIE_CAPACITY as u32 {
+            t.get(rid(i));
+            t.unref(rid(i));
+        }
+        let slab = t.slab.len();
+        assert_eq!(t.drain_zombies(), DEFAULT_ZOMBIE_CAPACITY as u64);
+        assert_eq!((t.slab.len(), t.map.len()), (slab, 1));
+        // The freed nodes are reused before the slab grows.
+        for i in 0..DEFAULT_ZOMBIE_CAPACITY as u32 {
+            assert_eq!(t.get(rid(i)).0, GetOutcome::Allocated);
+            t.unref(rid(i));
+        }
+        assert_eq!(t.slab.len(), slab);
+        // Parking the pin overflows the full pool.
+        assert_eq!(t.unref_slot(rid(u32::MAX), pin), 1);
+    }
+
     /// The two-structure table this module used before — a pin-count
-    /// map plus an `LruCache` pool — kept as the reference model.
+    /// map plus a FIFO pool — kept as the reference model.
     struct ModelTable {
         live: FxHashMap<Rid, u32>,
-        zombies: tq_pagestore::LruCache<Rid>,
+        /// Front = parked most recently.
+        zombies: VecDeque<Rid>,
+        capacity: usize,
         stats: HandleStats,
     }
 
@@ -439,7 +520,8 @@ mod tests {
                 self.stats.touches += 1;
                 return GetOutcome::Touched;
             }
-            if self.zombies.remove(&rid) {
+            if let Some(at) = self.zombies.iter().position(|&z| z == rid) {
+                self.zombies.remove(at);
                 self.live.insert(rid, 1);
                 self.stats.revivals += 1;
                 return GetOutcome::Revived;
@@ -458,7 +540,11 @@ mod tests {
                 return 0;
             }
             self.live.remove(&rid);
-            let freed = self.zombies.capacity() == 0 || self.zombies.insert(rid).is_some();
+            self.zombies.push_front(rid);
+            let freed = self.zombies.len() > self.capacity;
+            if freed {
+                self.zombies.pop_back();
+            }
             self.stats.frees += u64::from(freed);
             self.note_peak();
             u64::from(freed)
@@ -472,6 +558,8 @@ mod tests {
         }
     }
 
+    /// Every pin is released by rid or by slot at random; the table is
+    /// cloned mid-query and drained with pins held.
     #[test]
     fn random_schedules_match_the_two_structure_model() {
         for (case, capacity) in [0usize, 2, 4096, 2, 0, 4096].into_iter().enumerate() {
@@ -479,11 +567,13 @@ mod tests {
             let mut table = HandleTable::new(capacity);
             let mut model = ModelTable {
                 live: FxHashMap::default(),
-                zombies: tq_pagestore::LruCache::new(capacity),
+                zombies: VecDeque::new(),
+                capacity,
                 stats: HandleStats::default(),
             };
-            // Pins held, with duplicates: what may be unref'd next.
-            let mut pinned: Vec<Rid> = Vec::new();
+            // Pins held, with duplicates, and the slot each get
+            // returned: what may be unref'd next.
+            let mut pinned: Vec<(Rid, u32)> = Vec::new();
             // A small domain revives and re-touches; a large one fills
             // and overflows the pool.
             let domain = if case < 3 { 12 } else { 10_000 };
@@ -492,12 +582,18 @@ mod tests {
                     0 => assert_eq!(table.drain_zombies(), model.drain_zombies()),
                     1..=50 => {
                         let r = rid(rng.below(domain) as u32);
-                        assert_eq!(table.get(r), model.get(r), "step {step}");
-                        pinned.push(r);
+                        let (outcome, slot) = table.get(r);
+                        assert_eq!(outcome, model.get(r), "step {step}");
+                        pinned.push((r, slot));
                     }
                     _ if !pinned.is_empty() => {
-                        let r = pinned.swap_remove(rng.index(pinned.len()));
-                        assert_eq!(table.unref(r), model.unref(r), "step {step}");
+                        let (r, slot) = pinned.swap_remove(rng.index(pinned.len()));
+                        let freed = if rng.below(2) == 0 {
+                            table.unref(r)
+                        } else {
+                            table.unref_slot(r, slot)
+                        };
+                        assert_eq!(freed, model.unref(r), "step {step}");
                     }
                     _ => {}
                 }
@@ -505,7 +601,8 @@ mod tests {
                 assert_eq!(table.live_count(), model.live.len());
                 assert_eq!(table.zombie_count(), model.zombies.len());
                 if step % 1000 == 0 {
-                    // A clone carries on exactly where the original is.
+                    // A clone carries on exactly where the original is,
+                    // every slot included.
                     table = table.clone();
                 }
             }
@@ -550,7 +647,7 @@ mod tests {
     fn mid_query_clone_preserves_pins_and_park_order() {
         let mut t = HandleTable::new(3);
         t.get(rid(1));
-        t.get(rid(1));
+        let (_, one) = t.get(rid(1));
         t.get(rid(2));
         for i in [10, 11, 12] {
             t.get(rid(i));
@@ -562,13 +659,13 @@ mod tests {
         let mut c = t.clone();
         assert_eq!((c.live_count(), c.zombie_count()), (2, 3));
         assert_eq!(c.stats(), t.stats());
-        assert_eq!(c.unref(rid(1)), 0, "rid 1 was pinned twice");
+        assert_eq!(c.unref_slot(rid(1), one), 0, "rid 1 was pinned twice");
         assert!(c.is_pinned(rid(1)));
         // The next two parks evict the two oldest, 11 then 12.
         assert_eq!(c.unref(rid(1)), 1);
         assert_eq!(c.unref(rid(2)), 1);
-        assert_eq!(c.get(rid(11)), GetOutcome::Allocated);
-        assert_eq!(c.get(rid(12)), GetOutcome::Allocated);
-        assert_eq!(c.get(rid(10)), GetOutcome::Revived);
+        assert_eq!(c.get(rid(11)).0, GetOutcome::Allocated);
+        assert_eq!(c.get(rid(12)).0, GetOutcome::Allocated);
+        assert_eq!(c.get(rid(10)).0, GetOutcome::Revived);
     }
 }

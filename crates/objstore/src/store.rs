@@ -72,6 +72,8 @@ pub struct Fetched {
     pub rid: Rid,
     /// The decoded object.
     pub object: Object,
+    /// The pinned handle's slot in the handle table.
+    slot: u32,
 }
 
 /// An RAII fetch: a pinned handle that *must* go back through
@@ -91,6 +93,8 @@ pub struct Fetched {
 #[derive(Debug)]
 pub struct ObjGuard {
     rid: Rid,
+    /// The pinned handle's slot in the handle table.
+    slot: u32,
     record: Record,
     /// True while the pin is held; cleared by
     /// [`ObjectStore::release_guard`].
@@ -147,6 +151,8 @@ impl Drop for ObjGuard {
 pub struct ObjBatch {
     /// Canonical (post-forwarding) rids of the armed entries.
     rids: Vec<Rid>,
+    /// Their handles' slots in the handle table.
+    slots: Vec<u32>,
     /// Record pool; the first `rids.len()` hold armed records, the rest
     /// are spares from earlier, larger batches.
     records: Vec<Record>,
@@ -319,12 +325,13 @@ impl ObjectStore {
 
     /// The one fetch path: locates the record, hands its class and
     /// bytes to `decode` while they sit on the page, then pins the
-    /// handle and charges the access. Returns the canonical rid.
+    /// handle and charges the access. Returns the canonical rid and
+    /// the handle's slot.
     fn fetch_with(
         &mut self,
         rid: Rid,
         decode: impl FnOnce(&ClassDef, &[u8]) -> Result<(), DecodeError>,
-    ) -> Rid {
+    ) -> (Rid, u32) {
         let schema = &self.schema;
         let rid = locate(&mut self.stack, rid, |rid, bytes| {
             let class = record::peek_class(bytes).expect("located record is an object");
@@ -332,13 +339,14 @@ impl ObjectStore {
                 .unwrap_or_else(|e| panic!("corrupt record at {rid:?}: {e:?}"));
             rid
         });
-        match self.handles.get(rid) {
+        let (outcome, slot) = self.handles.get(rid);
+        match outcome {
             GetOutcome::Allocated => self.stack.charge(CpuEvent::HandleAlloc, 1),
             GetOutcome::Touched | GetOutcome::Revived => {
                 self.stack.charge(CpuEvent::HandleTouch, 1)
             }
         }
-        rid
+        (rid, slot)
     }
 
     /// Fetches an object, pinning its handle and charging the access.
@@ -348,10 +356,10 @@ impl ObjectStore {
     /// no allocation at all once the pool is warm.
     pub fn fetch(&mut self, rid: Rid) -> Fetched {
         let mut object = self.spare.pop().unwrap_or_default();
-        let rid = self.fetch_with(rid, |class, bytes| {
+        let (rid, slot) = self.fetch_with(rid, |class, bytes| {
             record::decode_into(class, bytes, &mut object)
         });
-        Fetched { rid, object }
+        Fetched { rid, object, slot }
     }
 
     /// Unpins the handle and recycles the object's allocations for the
@@ -359,7 +367,7 @@ impl ObjectStore {
     /// `unref(f.rid)` followed by dropping `f` — scan and join loops
     /// use this so a paper-scale pass stays off the allocator.
     pub fn release(&mut self, f: Fetched) {
-        self.unref(f.rid);
+        self.unref_slot(f.rid, f.slot);
         if self.spare.len() < OBJECT_POOL_CAP {
             self.spare.push(f.object);
         }
@@ -372,11 +380,12 @@ impl ObjectStore {
     /// through this.
     pub fn fetch_guard(&mut self, rid: Rid) -> ObjGuard {
         let mut record = self.spare_records.pop().unwrap_or_default();
-        let rid = self.fetch_with(rid, |class, bytes| {
+        let (rid, slot) = self.fetch_with(rid, |class, bytes| {
             record::view_into(class, bytes, &mut record)
         });
         ObjGuard {
             rid,
+            slot,
             record,
             armed: true,
             object: OnceCell::new(),
@@ -387,7 +396,7 @@ impl ObjectStore {
     /// buffers, exactly like [`ObjectStore::release`].
     pub fn release_guard(&mut self, mut guard: ObjGuard) {
         guard.armed = false;
-        self.unref(guard.rid);
+        self.unref_slot(guard.rid, guard.slot);
         if self.spare_records.len() < OBJECT_POOL_CAP {
             self.spare_records.push(std::mem::take(&mut guard.record));
         }
@@ -418,13 +427,16 @@ impl ObjectStore {
     pub fn fetch_batch(&mut self, rids: &[Rid], out: &mut ObjBatch) {
         debug_assert!(out.is_empty(), "fetch_batch into an armed ObjBatch");
         out.rids.clear();
+        out.slots.clear();
         for (i, &rid) in rids.iter().enumerate() {
             if out.records.len() <= i {
                 out.records.push(Record::default());
             }
             let record = &mut out.records[i];
-            let rid = self.fetch_with(rid, |class, bytes| record::view_into(class, bytes, record));
+            let (rid, slot) =
+                self.fetch_with(rid, |class, bytes| record::view_into(class, bytes, record));
             out.rids.push(rid);
+            out.slots.push(slot);
         }
         #[cfg(debug_assertions)]
         {
@@ -446,15 +458,25 @@ impl ObjectStore {
     /// shells stay in the arena for the next batch.
     pub fn release_batch(&mut self, batch: &mut ObjBatch) {
         for i in 0..batch.rids.len() {
-            let rid = batch.rids[i];
-            self.unref(rid);
+            self.unref_slot(batch.rids[i], batch.slots[i]);
         }
         batch.rids.clear();
+        batch.slots.clear();
     }
 
     /// Unpins a handle previously pinned by [`ObjectStore::fetch`].
     pub fn unref(&mut self, rid: Rid) {
         let frees = self.handles.unref(rid);
+        self.charge_unref(frees);
+    }
+
+    /// [`ObjectStore::unref`] by the slot the fetch pinned: no lookup.
+    fn unref_slot(&mut self, rid: Rid, slot: u32) {
+        let frees = self.handles.unref_slot(rid, slot);
+        self.charge_unref(frees);
+    }
+
+    fn charge_unref(&mut self, frees: u64) {
         self.stack.charge(CpuEvent::HandleUnref, 1);
         if frees > 0 {
             self.stack.charge(CpuEvent::HandleFree, frees);
@@ -693,10 +715,13 @@ impl ObjectStore {
         self.stack.commit();
     }
 
-    /// Cold restart: commit, drop both caches (the paper's
-    /// between-queries server shutdown).
+    /// Cold restart: commit, drop both caches and the delayed-free
+    /// handle pool (the paper's between-queries server shutdown). The
+    /// pool goes uncharged: no clock, counter or handle statistic
+    /// moves, so the next measured window starts cold in handles too.
     pub fn cold_restart(&mut self) {
         self.stack.cold_restart();
+        self.handles.discard_zombies();
     }
 
     /// Zeroes clock and I/O counters.
@@ -1018,6 +1043,33 @@ mod tests {
             via_old > direct,
             "forwarded access ({via_old} faults) must cost more than direct ({direct})"
         );
+    }
+
+    #[test]
+    fn cold_restart_drains_the_handle_pool_off_the_clock() {
+        let (mut store, item, file) = item_store();
+        let rids: Vec<Rid> = (0..10)
+            .map(|k| store.insert(file, item, &item_values(k, "x"), true))
+            .collect();
+        store.commit();
+        for &rid in &rids {
+            let f = store.fetch(rid);
+            store.release(f);
+        }
+        // A pin held across the restart survives it.
+        let held = store.fetch_guard(rids[0]);
+        let (clock, io, handles) = (store.clock().elapsed(), store.stats(), store.handle_stats());
+        store.cold_restart();
+        assert_eq!(store.clock().elapsed(), clock);
+        assert_eq!(store.stats(), io);
+        assert_eq!(store.handle_stats(), handles);
+        assert_eq!(store.live_handles(), 1);
+        store.release_guard(held);
+        // Nothing is left to revive: the next fetch allocates.
+        let f = store.fetch(rids[1]);
+        store.release(f);
+        assert_eq!(store.handle_stats().allocations, handles.allocations + 1);
+        assert_eq!(store.handle_stats().revivals, handles.revivals);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod page;
 pub mod stack;
 pub mod writeset;
 
-pub use cache::LruCache;
+pub use cache::{FrameKey, LruCache};
 pub use cost::{CostModel, CpuEvent, SimClock};
 pub use disk::{Disk, FileId};
 pub use page::{PageId, SlotId, SlottedPage, PAGE_SIZE};

@@ -59,11 +59,12 @@ impl fmt::Debug for PageId {
 
 /// A 4 KB slotted page.
 ///
-/// Owns its backing bytes. Cloning clones the bytes (used when a page
-/// is first materialized on the disk).
+/// Owns its backing bytes inline, so a page behind the disk's `Arc` is
+/// one pointer from its bytes. Cloning clones the bytes (used when a
+/// page is first materialized on the disk).
 #[derive(Clone)]
 pub struct SlottedPage {
-    bytes: Box<[u8; PAGE_SIZE]>,
+    bytes: [u8; PAGE_SIZE],
 }
 
 impl Default for SlottedPage {
@@ -76,7 +77,7 @@ impl SlottedPage {
     /// Creates an empty page: no slots, all space free.
     pub fn new() -> Self {
         let mut page = Self {
-            bytes: vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap(),
+            bytes: [0u8; PAGE_SIZE],
         };
         page.set_slot_count(0);
         page.set_free_start(HEADER_BYTES as u16);
@@ -89,7 +90,7 @@ impl SlottedPage {
     /// The caller asserts the bytes were produced by this module; no
     /// structural validation beyond length is performed.
     pub fn from_bytes(bytes: Box<[u8; PAGE_SIZE]>) -> Self {
-        Self { bytes }
+        Self { bytes: *bytes }
     }
 
     /// The raw backing bytes.

@@ -203,7 +203,17 @@ impl StorageStack {
 
     /// Creates a new file.
     pub fn create_file(&mut self, name: impl Into<String>) -> FileId {
-        self.disk.create_file(name)
+        let file = self.disk.create_file(name);
+        self.frame_file(file);
+        file
+    }
+
+    /// Makes both tiers' frame tables for `file` exactly as long as the
+    /// file (see [`LruCache::set_table_len`]).
+    fn frame_file(&mut self, file: FileId) {
+        let len = self.disk.file_len(file) as usize;
+        self.client.set_table_len(file.0 as usize, len);
+        self.server.set_table_len(file.0 as usize, len);
     }
 
     /// Appends a fresh page to `file`. The new page is born resident in
@@ -211,19 +221,21 @@ impl StorageStack {
     /// read I/O is charged.
     pub fn allocate_page(&mut self, file: FileId) -> PageId {
         let pid = self.disk.allocate_page(file);
+        self.frame_file(file);
         self.admit_client(pid);
-        self.server.insert(pid);
+        self.server.insert_absent(pid);
         self.dirty.insert(pid);
         pid
     }
 
+    /// Admits `pid`, which the client cache does not hold.
     fn admit_client(&mut self, pid: PageId) {
-        if let Some(evicted) = self.client.insert(pid) {
+        if let Some(evicted) = self.client.insert_absent(pid) {
             // Evicting a dirty page forces a write-back through the
             // server to disk. The page's bytes were already mutated in
             // place, so only the write is recorded — materializing the
             // page here would defeat copy-on-write sharing.
-            if self.dirty.remove(&evicted) {
+            if !self.dirty.is_empty() && self.dirty.remove(&evicted) {
                 self.disk.record_write(evicted);
                 self.stats.pages_written += 1;
                 self.clock.charge_write(&self.model);
@@ -251,7 +263,7 @@ impl StorageStack {
             let _ = self.disk.read(pid); // keep the disk's own counter in sync
             self.stats.d2sc_read_pages += 1;
             self.last_disk_read = Some(pid);
-            self.server.insert(pid);
+            self.server.insert_absent(pid);
         }
         // Ship server → client.
         self.clock.charge_rpc(&self.model);
@@ -308,11 +320,20 @@ impl StorageStack {
         let len = self.disk.file_len(file);
         let dropped = self.disk.truncate_file(file);
         debug_assert_eq!(len, dropped);
-        for page_no in 0..len {
-            let pid = PageId { file, page_no };
-            self.client.remove(&pid);
-            self.server.remove(&pid);
-            self.dirty.remove(&pid);
+        self.purge_file(file, len);
+    }
+
+    /// Forgets every cached residency and dirty mark for `file`'s pages
+    /// below `span`, and the disk arm if it rests in `file`, then sizes
+    /// the file's frame tables to its current length.
+    fn purge_file(&mut self, file: FileId, span: u32) {
+        self.client.set_table_len(file.0 as usize, 0);
+        self.server.set_table_len(file.0 as usize, 0);
+        self.frame_file(file);
+        if !self.dirty.is_empty() {
+            for page_no in 0..span {
+                self.dirty.remove(&PageId { file, page_no });
+            }
         }
         if let Some(last) = self.last_disk_read {
             if last.file == file {
@@ -364,18 +385,11 @@ impl StorageStack {
             0
         };
         self.disk.adopt_file_from(&src.disk, file);
-        let span = before.max(self.disk.file_len(file));
-        for page_no in 0..span {
-            let pid = PageId { file, page_no };
-            self.client.remove(&pid);
-            self.server.remove(&pid);
-            self.dirty.remove(&pid);
+        // Adoption may have created the files up to `file`, empty.
+        for f in 0..self.disk.file_count() {
+            self.frame_file(FileId(f));
         }
-        if let Some(last) = self.last_disk_read {
-            if last.file == file {
-                self.last_disk_read = None;
-            }
-        }
+        self.purge_file(file, before.max(self.disk.file_len(file)));
     }
 
     /// Counter snapshot.
@@ -398,6 +412,7 @@ impl StorageStack {
 mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
+    use std::collections::{BTreeSet, VecDeque};
 
     fn tiny_stack(client: usize, server: usize) -> StorageStack {
         StorageStack::new(
@@ -596,5 +611,177 @@ mod tests {
         let st = s.stats();
         assert!((st.client_miss_rate() - 66.666).abs() < 0.01);
         assert_eq!(st.rpc_total_bytes(), 2 * PAGE_SIZE as u64);
+    }
+
+    /// The two tiers as plain MRU-first lists, with the counters that
+    /// depend on them: the reference for the frame-table stack.
+    struct Model {
+        client: VecDeque<PageId>,
+        server: VecDeque<PageId>,
+        caps: (usize, usize),
+        dirty: BTreeSet<PageId>,
+        lens: Vec<u32>,
+        stats: IoStats,
+    }
+
+    impl Model {
+        fn admit(list: &mut VecDeque<PageId>, cap: usize, pid: PageId) -> Option<PageId> {
+            if cap == 0 {
+                return None;
+            }
+            list.push_front(pid);
+            (list.len() > cap).then(|| list.pop_back().unwrap())
+        }
+
+        fn hit(list: &mut VecDeque<PageId>, pid: PageId) -> bool {
+            let Some(at) = list.iter().position(|&p| p == pid) else {
+                return false;
+            };
+            list.remove(at);
+            list.push_front(pid);
+            true
+        }
+
+        fn admit_client(&mut self, pid: PageId) {
+            if let Some(victim) = Self::admit(&mut self.client, self.caps.0, pid) {
+                if self.dirty.remove(&victim) {
+                    self.stats.pages_written += 1;
+                }
+            }
+        }
+
+        fn read(&mut self, pid: PageId) {
+            if Self::hit(&mut self.client, pid) {
+                self.stats.client_hits += 1;
+                return;
+            }
+            self.stats.client_misses += 1;
+            if Self::hit(&mut self.server, pid) {
+                self.stats.server_hits += 1;
+            } else {
+                self.stats.server_misses += 1;
+                self.stats.d2sc_read_pages += 1;
+                Self::admit(&mut self.server, self.caps.1, pid);
+            }
+            self.stats.sc2cc_read_pages += 1;
+            self.admit_client(pid);
+        }
+
+        fn allocate(&mut self, file: FileId) -> PageId {
+            let pid = PageId {
+                file,
+                page_no: self.lens[file.0 as usize],
+            };
+            self.lens[file.0 as usize] += 1;
+            self.admit_client(pid);
+            Self::admit(&mut self.server, self.caps.1, pid);
+            self.dirty.insert(pid);
+            pid
+        }
+
+        fn commit(&mut self) {
+            let n = self.dirty.len() as u64;
+            self.stats.pages_written += n;
+            self.stats.log_pages_written += n;
+            self.dirty.clear();
+        }
+
+        fn purge(&mut self, file: FileId) {
+            self.client.retain(|p| p.file != file);
+            self.server.retain(|p| p.file != file);
+            self.dirty.retain(|p| p.file != file);
+        }
+    }
+
+    /// Reads, writes, allocations, truncations, adoptions, commits and
+    /// cold restarts over several files against [`Model`]: the same
+    /// counters and the same residency order at every step, and every
+    /// frame table exactly as long as its file.
+    #[test]
+    fn two_tiers_match_a_naive_model() {
+        for (case, caps) in [(3, 2), (1, 4), (0, 2), (6, 0), (4, 4)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = tq_simrng::SimRng::seed_from_u64(0x57AC_0000 + case as u64);
+            let mut s = tiny_stack(caps.0, caps.1);
+            let mut m = Model {
+                client: Default::default(),
+                server: Default::default(),
+                caps,
+                dirty: Default::default(),
+                lens: Vec::new(),
+                stats: IoStats::default(),
+            };
+            for name in ["a", "b", "c"] {
+                s.create_file(name);
+                m.lens.push(0);
+            }
+            for step in 0..3_000 {
+                let file = FileId(rng.below(s.disk.file_count() as u64) as u32);
+                let len = m.lens[file.0 as usize];
+                match rng.below(100) {
+                    0..=54 if len > 0 => {
+                        let pid = PageId {
+                            file,
+                            page_no: rng.below(len as u64) as u32,
+                        };
+                        if rng.below(4) == 0 {
+                            s.write_page(pid, |_| ());
+                            m.read(pid);
+                            m.dirty.insert(pid);
+                        } else {
+                            s.read_page(pid);
+                            m.read(pid);
+                        }
+                    }
+                    0..=79 => assert_eq!(s.allocate_page(file), m.allocate(file)),
+                    80..=83 => {
+                        s.truncate_file(file);
+                        m.purge(file);
+                        m.lens[file.0 as usize] = 0;
+                    }
+                    84..=89 => {
+                        // A transaction's clone grows the file (or a new
+                        // one) and writes to it; the file is adopted back.
+                        let mut src = s.clone();
+                        let target = if rng.below(3) == 0 {
+                            src.create_file("new")
+                        } else {
+                            file
+                        };
+                        for _ in 0..rng.index(4) {
+                            src.allocate_page(target);
+                        }
+                        src.commit();
+                        s.adopt_file_from(&src, target);
+                        m.lens.resize(s.disk.file_count() as usize, 0);
+                        m.lens[target.0 as usize] = src.disk.file_len(target);
+                        m.purge(target);
+                    }
+                    90..=93 => {
+                        s.commit();
+                        m.commit();
+                    }
+                    94..=96 => {
+                        s.cold_restart();
+                        m.commit();
+                        m.client.clear();
+                        m.server.clear();
+                    }
+                    _ => s = s.clone(),
+                }
+                assert_eq!(s.stats(), m.stats, "case {case} step {step}");
+                assert_eq!(s.client.keys_mru_to_lru(), Vec::from(m.client.clone()));
+                assert_eq!(s.server.keys_mru_to_lru(), Vec::from(m.server.clone()));
+                assert_eq!(s.dirty_pages(), m.dirty.len());
+                for f in 0..s.disk.file_count() {
+                    let len = s.disk.file_len(FileId(f)) as usize;
+                    assert_eq!(len, m.lens[f as usize] as usize);
+                    assert_eq!(s.client.table_len(f as usize), len, "step {step}");
+                    assert_eq!(s.server.table_len(f as usize), len, "step {step}");
+                }
+            }
+        }
     }
 }

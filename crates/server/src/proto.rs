@@ -60,13 +60,17 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) in one write: over TCP,
+/// a payload written after its header would wait for the header's ACK
+/// (Nagle's algorithm against the peer's delayed ACK).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME {
         return Err(FrameError::TooLarge(payload.len() as u64));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())
-        .and_then(|()| w.write_all(payload))
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(FrameError::Io)
 }

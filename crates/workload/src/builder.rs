@@ -125,9 +125,26 @@ impl Database {
 /// recycled string. The build loops fill millions of these; writing in
 /// place keeps the whole pass off the allocator.
 fn pad16_into(out: &mut String, prefix: &str, n: i64) {
-    use std::fmt::Write;
     out.clear();
-    let _ = write!(out, "{prefix}-{n}");
+    out.push_str(prefix);
+    out.push('-');
+    if n < 0 {
+        out.push('-');
+    }
+    // The digits, written last to first: `core::fmt` costs more than
+    // the rest of a record's build.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut v = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
     while out.len() < 16 {
         out.push('.');
     }
@@ -651,6 +668,33 @@ pub(crate) fn build_filtered(
 mod tests {
     use super::*;
     use tq_objstore::SetCursor;
+
+    #[test]
+    fn pad16_matches_the_format_spelling() {
+        let mut out = String::new();
+        for (prefix, n) in [
+            ("P", 0),
+            ("P", 9),
+            ("P", 10),
+            ("Name", 123_456),
+            ("P", 9_999_999_999_999),
+            ("Address", 1_234_567_890),
+            ("P", -1),
+            ("P", -907),
+            ("P", i64::MIN),
+            ("P", i64::MAX),
+            ("ExactlySixteen", 7),
+            ("LongerThanSixteenBytes", 5),
+        ] {
+            pad16_into(&mut out, prefix, n);
+            let mut want = format!("{prefix}-{n}");
+            while want.len() < 16 {
+                want.push('.');
+            }
+            want.truncate(16);
+            assert_eq!(out, want, "{prefix} {n}");
+        }
+    }
 
     fn tiny(shape: DbShape, org: Organization) -> Database {
         // Db1/1000: 2 providers × ~1000 patients; Db2/1000: 1000 × ~3.
